@@ -14,7 +14,6 @@ from .errors import (
     ImproperEndpoint,
     ImproperInput,
     ImproperIntermediate,
-    InvalidBaseSequence,
     InvalidParams,
     InvalidQuotientSequence,
     NotAClique,

@@ -340,10 +340,15 @@ def rotating_recolorings(s: RecoloringSequence, x: int) -> list[int]:
     later returns to the color held just before: with color history
     x_0, x_1, ..., the j-th recoloring is rotating iff x_{j+2} = x_{j-1}.
     Recolorings lacking two successors are never rotating."""
-    positions = [i for i, st in enumerate(s.steps) if st.vertex == x]
-    hist = [s.start[x]] + [s.steps[i].new_color for i in positions]
-    q = len(positions)
-    return [positions[j - 1] for j in range(1, q + 1) if j + 2 <= q and hist[j + 2] == hist[j - 1]]
+    own = [(i, c) for i, (v, c) in enumerate(s.steps) if v == x]
+    return _rotating(own, s.start[x])
+
+
+def _rotating(own: Sequence[tuple[int, int]], start_color: int) -> list[int]:
+    """Step indices of the rotating recolorings among one vertex's
+    (step index, new color) pairs, given its color before them."""
+    hist = [start_color] + [c for _, c in own]
+    return [own[j - 1][0] for j in range(1, len(own) - 1) if hist[j + 2] == hist[j - 1]]
 
 
 def naughty_recolorings(
@@ -500,13 +505,7 @@ def analyze_sequence(
         )
         if do_cover and t == 2 * d + 1:
             violations.extend(_tight_palette_coverage(rsteps, s.start, v, back, t))
-        own = by.get(v, [])
-        if len(own) >= 3:
-            hist = [s.start[v]] + [c for _, c in own]
-            q = len(own)
-            rotating_total += sum(
-                1 for j in range(1, q - 1) if hist[j + 2] == hist[j - 1]
-            )
+        rotating_total += len(_rotating(by.get(v, ()), s.start[v]))
     stats = {
         "tight": tight_total,
         "saved": saved_total,

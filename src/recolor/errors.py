@@ -88,10 +88,6 @@ class ImproperInput(RecolorError):
     """A coloring handed in as proper is not."""
 
 
-class InvalidBaseSequence(RecolorError):
-    """The base sequence fed to the single-vertex insertion pass is invalid."""
-
-
 class DecompositionError(RecolorError):
     """Base class for tree decomposition check failures."""
 

@@ -197,8 +197,9 @@ def run_trial(cfg: ExperimentConfig, trial: int, trial_seed: int) -> ExperimentR
 def _sample_cliques(
     g: Graph, ordering: EliminationOrdering, d: int, limit: int = 200
 ) -> list[tuple[int, ...]]:
-    """(d-1)-cliques to scan: taken from back-neighborhoods, deduplicated,
-    capped for large graphs."""
+    """(d-1)-cliques to scan: the (d-1)-subsets of back-neighborhoods that
+    are cliques (a degeneracy ordering's back-neighborhoods need not be),
+    deduplicated, capped for large graphs."""
     from itertools import combinations
 
     seen: set[tuple[int, ...]] = set()
@@ -206,9 +207,10 @@ def _sample_cliques(
         b = ordering.back_nbrs[v]
         if len(b) >= d - 1:
             for c in combinations(b, d - 1):
-                seen.add(c)
-                if len(seen) >= limit:
-                    return sorted(seen)
+                if all(y in g.adj[x] for x, y in combinations(c, 2)):
+                    seen.add(c)
+                    if len(seen) >= limit:
+                        return sorted(seen)
     return sorted(seen)
 
 
@@ -261,61 +263,32 @@ def _fit_slope(points: list[tuple[int, int]]) -> float:
     return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / den
 
 
+def _record(r: ExperimentRow) -> dict:
+    """The ROW_FIELDS of one row, in order; absent values stay None."""
+    return {
+        f: SCHEMA_VERSION if f == "schema_version" else getattr(r, f)
+        for f in ROW_FIELDS
+    }
+
+
 def rows_to_csv(rows: list[ExperimentRow], timings: bool = False) -> str:
     """Render rows as CSV.  Timings are opt-in to keep the bytes reproducible."""
-    fields = ROW_FIELDS + (["wall_time_s"] if timings else [])
     buf = _stdio.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(fields)
+    w = csv.writer(buf, lineterminator="\n")  # writes None as an empty field
+    w.writerow(ROW_FIELDS + (["wall_time_s"] if timings else []))
     for r in rows:
-        rec = {
-            "schema_version": SCHEMA_VERSION,
-            "trial": r.trial,
-            "family": r.family,
-            "n": r.n,
-            "k": r.k,
-            "d": r.d,
-            "t": r.t,
-            "length": r.length,
-            "max_count": r.max_count,
-            "violations": r.violations,
-            "tight": r.tight,
-            "saved": r.saved,
-            "rotating": r.rotating,
-            "naughty_max": "" if r.naughty_max is None else r.naughty_max,
-            "rule1_blocked": r.rule1_blocked,
-            "oracle_distance": "" if r.oracle_distance is None else r.oracle_distance,
-            "error": r.error,
-        }
+        rec = _record(r)
         if timings:
             rec["wall_time_s"] = f"{r.wall_time_s:.6f}"
-        w.writerow([rec[f] for f in fields])
+        w.writerow(rec.values())
     return buf.getvalue()
 
 
 def rows_to_json(rows: list[ExperimentRow], timings: bool = False) -> str:
     out = []
     for r in rows:
-        d = {
-            "schema_version": SCHEMA_VERSION,
-            "trial": r.trial,
-            "family": r.family,
-            "n": r.n,
-            "k": r.k,
-            "d": r.d,
-            "t": r.t,
-            "length": r.length,
-            "max_count": r.max_count,
-            "violations": r.violations,
-            "tight": r.tight,
-            "saved": r.saved,
-            "rotating": r.rotating,
-            "naughty_max": r.naughty_max,
-            "rule1_blocked": r.rule1_blocked,
-            "oracle_distance": r.oracle_distance,
-            "error": r.error,
-        }
+        rec = _record(r)
         if timings:
-            d["wall_time_s"] = round(r.wall_time_s, 6)
-        out.append(d)
+            rec["wall_time_s"] = round(r.wall_time_s, 6)
+        out.append(rec)
     return json.dumps(out, indent=1) + "\n"

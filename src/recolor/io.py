@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any
 
 from .errors import InvalidParams
 from .graphs import Coloring, EliminationOrdering, Graph
@@ -64,13 +63,6 @@ def read_graph(path: str | Path) -> Graph:
             obj = obj["graph"]
         return graph_from_json(obj)
     return graph_from_text(text)
-
-
-def write_graph(path: str | Path, g: Graph, fmt: str = "json") -> None:
-    if fmt == "text":
-        Path(path).write_text(graph_to_text(g))
-    else:
-        Path(path).write_text(json.dumps(graph_to_json(g), indent=1) + "\n")
 
 
 def coloring_to_json(c: Coloring) -> list[int]:
@@ -142,7 +134,3 @@ def read_sequence(path: str | Path) -> RecoloringSequence:
 
 def write_sequence(path: str | Path, s: RecoloringSequence) -> None:
     Path(path).write_text(json.dumps(sequence_to_json(s), indent=1) + "\n")
-
-
-def write_json(path: str | Path, obj: Any) -> None:
-    Path(path).write_text(json.dumps(obj, indent=1, sort_keys=False) + "\n")

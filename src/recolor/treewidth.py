@@ -1,10 +1,11 @@
 """Tree decompositions and the same-color merge construction.
 
-`merge_by_coloring` collapses, bag by bag, vertices that share a color
-under a given proper coloring, then saturates every (quotient) bag into a
-clique.  The result is a chordal graph whose degeneracy is at most the
-decomposition width, together with the projection map back to the
-original vertices.  Because the preimage of every quotient vertex is an
+`merge_by_coloring` collapses vertices that share a color and a bag
+under a given proper coloring, in one union pass over the bags whose
+result does not depend on bag order, then saturates every (quotient) bag
+into a clique.  The result is a chordal graph whose degeneracy is at
+most the decomposition width, together with the projection map back to
+the original vertices.  Because the preimage of every quotient vertex is an
 independent set, walks on the quotient expand step-for-fiber into walks
 on the original graph.
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -90,37 +92,32 @@ def validate_decomposition(g: Graph, td: TreeDecomposition) -> int:
     """Verify the three decomposition conditions and return the width.
 
     Raises UncoveredVertex, UncoveredEdge or DisconnectedTrace with a
-    witness; malformed bag trees raise ValueError.
+    witness; malformed bag trees and bag vertex ids outside 0..n-1 raise
+    ValueError.
     """
     _check_tree(td)
-    covered: set[int] = set()
-    for b in td.bags:
-        covered |= b
-    for v in range(g.n):
-        if v not in covered:
+    n = g.n
+    holding = [0] * n  # number of bags holding each vertex
+    pairs: set[tuple[int, int]] = set()
+    for i, b in enumerate(td.bags):
+        for v in b:
+            if not 0 <= v < n:
+                raise ValueError(f"bag {i} holds vertex {v}, outside 0..{n - 1}")
+            holding[v] += 1
+        pairs.update(combinations(sorted(b), 2))
+    for v in range(n):
+        if not holding[v]:
             raise UncoveredVertex(v)
-    for u, v in g.edges():
-        if not any(u in b and v in b for b in td.bags):
-            raise UncoveredEdge((u, v))
-    k = len(td.bags)
-    nbr: list[list[int]] = [[] for _ in range(k)]
+    for e in g.edges():
+        if e not in pairs:
+            raise UncoveredEdge(e)
+    # The bags form a tree, so the bags holding v are connected iff they
+    # span exactly one tree edge fewer than their number.
     for i, j in td.tree_edges:
-        nbr[i].append(j)
-        nbr[j].append(i)
-    for v in range(g.n):
-        holding = [i for i, b in enumerate(td.bags) if v in b]
-        if not holding:
-            continue
-        seen = {holding[0]}
-        queue = deque([holding[0]])
-        hold = set(holding)
-        while queue:
-            i = queue.popleft()
-            for j in nbr[i]:
-                if j in hold and j not in seen:
-                    seen.add(j)
-                    queue.append(j)
-        if len(seen) != len(holding):
+        for v in td.bags[i] & td.bags[j]:
+            holding[v] -= 1
+    for v in range(n):
+        if holding[v] != 1:
             raise DisconnectedTrace(v)
     return td.width
 
@@ -152,12 +149,14 @@ class MergeResult(NamedTuple):
 def merge_by_coloring(g: Graph, td: TreeDecomposition, alpha: Coloring) -> MergeResult:
     """Collapse same-colored vertices sharing a bag, then saturate bags.
 
-    Scans bags in index order and always merges the lowest-id same-color
-    pair, repeating until no bag holds two vertices of one color; the
-    quotient is then relabeled densely by smallest original member.  Every
-    quotient bag is finally completed into a clique.  The projected
-    coloring stays proper because only non-adjacent same-colored vertices
-    ever merge.
+    One pass over the bags unites each bag's vertices of one color.  Later
+    unions only coarsen classes, so no bag ends up holding two classes of
+    one color, and for any bag order the classes are the transitive
+    closure of "same color, common bag": the finest partition in which no
+    bag holds two classes of one color.  The quotient is relabeled densely
+    by smallest original member and each quotient bag completed into a
+    clique.  The projected coloring stays proper because only non-adjacent
+    same-colored vertices ever merge.
     """
     validate_decomposition(g, td)
     if not is_proper(g, alpha):
@@ -171,29 +170,12 @@ def merge_by_coloring(g: Graph, td: TreeDecomposition, alpha: Coloring) -> Merge
             a = root[a]
         return a
 
-    def bag_classes(b: frozenset[int]) -> list[int]:
-        return sorted({find(v) for v in b})
-
-    while True:
-        pair = None
-        for b in td.bags:
-            classes = bag_classes(b)
-            by_color: dict[int, list[int]] = {}
-            for cl in classes:
-                by_color.setdefault(alpha[cl], []).append(cl)
-            best = None
-            for members in by_color.values():
-                if len(members) >= 2:
-                    cand = (members[0], members[1])
-                    if best is None or cand < best:
-                        best = cand
-            if best is not None:
-                pair = best
-                break
-        if pair is None:
-            break
-        a, b2 = pair
-        root[b2] = a  # classes keep their smallest original id as root
+    for b in td.bags:
+        first: dict[int, int] = {}  # color -> a vertex of that color in b
+        for v in b:
+            a, c = find(v), find(first.setdefault(alpha[v], v))
+            if a != c:
+                root[max(a, c)] = min(a, c)  # a class's root stays its smallest id
     reps = sorted({find(v) for v in range(n)})
     index = {rep: i for i, rep in enumerate(reps)}
     pi = tuple(index[find(v)] for v in range(n))
@@ -211,9 +193,7 @@ def merge_by_coloring(g: Graph, td: TreeDecomposition, alpha: Coloring) -> Merge
     for b in td.bags:
         q = sorted({pi[v] for v in b})
         new_bags.append(frozenset(q))
-        for i in range(len(q)):
-            for j in range(i + 1, len(q)):
-                edges.add((q[i], q[j]))
+        edges.update(combinations(q, 2))
     g2 = Graph(len(reps), edges)
     alpha2 = Coloring([alpha[rep] for rep in reps], alpha.palette_size)
     td2 = TreeDecomposition(tuple(new_bags), td.tree_edges)
@@ -330,34 +310,31 @@ def run_pipeline(
     beta_side, gamma2 = _half_sequence(g, td, beta, t)
 
     if bridge == "none":
-        per_vertex = {v: 0 for v in range(g.n)}
-        for st in alpha_side.steps:
-            per_vertex[st.vertex] += 1
-        for st in beta_side.steps:
-            per_vertex[st.vertex] += 1
-        return PipelineResult(
-            alpha_side, beta_side, gamma1, gamma2,
-            None, "unavailable", None, per_vertex,
+        mid = composed = None
+        status = "unavailable"
+        steps = alpha_side.steps + beta_side.steps
+    elif bridge == "oracle":
+        try:
+            mid = _oracle.rt_path(g, t, gamma1, gamma2, state_cap)
+        except StateCapExceeded as e:
+            raise OracleInfeasible(str(e)) from e
+        if mid is None:
+            raise OracleInfeasible("no walk between the two greedy colorings")
+        composed_steps = (
+            alpha_side.steps + mid.steps + reverse_sequence(beta_side).steps
         )
-    if bridge != "oracle":
+        composed = RecoloringSequence(composed_steps, alpha, t)
+        end = apply_sequence(g, composed)
+        if end.colors != beta.colors:
+            raise RecolorError("composed sequence does not end at beta")
+        status = "oracle"
+        steps = composed.steps
+    else:
         raise ValueError(f"unknown bridge {bridge!r}")
-    try:
-        mid = _oracle.rt_path(g, t, gamma1, gamma2, state_cap)
-    except StateCapExceeded as e:
-        raise OracleInfeasible(str(e)) from e
-    if mid is None:
-        raise OracleInfeasible("no walk between the two greedy colorings")
-    composed_steps = (
-        alpha_side.steps + mid.steps + reverse_sequence(beta_side).steps
-    )
-    composed = RecoloringSequence(composed_steps, alpha, t)
-    end = apply_sequence(g, composed)
-    if end.colors != beta.colors:
-        raise RecolorError("composed sequence does not end at beta")
     per_vertex = {v: 0 for v in range(g.n)}
-    for st in composed.steps:
+    for st in steps:
         per_vertex[st.vertex] += 1
     return PipelineResult(
         alpha_side, beta_side, gamma1, gamma2,
-        mid, "oracle", composed, per_vertex,
+        mid, status, composed, per_vertex,
     )

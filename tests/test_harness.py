@@ -145,6 +145,17 @@ class TestExperiment:
         rows, _ = run_experiment(cfg)
         assert all(r.naughty_max is not None for r in rows)
 
+    def test_naughty_scan_on_partial_3trees(self):
+        # Degeneracy back-neighborhoods of a partial 3-tree are not all
+        # cliques; only the clique ones may be scanned.
+        cfg = ExperimentConfig(
+            family="partial-ktree", n_values=[20, 40], k=3, t_rule="2d+1",
+            trials=4, seed=0, naughty=True,
+        )
+        rows, summary = run_experiment(cfg)
+        assert summary["errors"] == 0
+        assert all(r.d == 3 and r.naughty_max is not None for r in rows)
+
     def test_csv_is_deterministic_and_time_free(self):
         cfg = ExperimentConfig(n_values=[10], trials=4, seed=9)
         csv1 = rows_to_csv(run_experiment(cfg)[0])
@@ -249,23 +260,35 @@ class TestCli:
         )
         assert code == 3
 
-    def test_pipeline_end_to_end(self, tmp_path, capsys):
+    def run_c4_pipeline(self, tmp_path, capsys, bags):
         g = tmp_path / "c4.json"
         g.write_text(json.dumps({"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]]}))
         td = tmp_path / "td.json"
-        td.write_text(json.dumps({"bags": [[0, 1, 2], [0, 2, 3]], "tree_edges": [[0, 1]]}))
+        td.write_text(json.dumps({"bags": bags, "tree_edges": [[0, 1]]}))
         a = tmp_path / "a.json"
         a.write_text("[1, 2, 1, 2]")
         b = tmp_path / "b.json"
         b.write_text("[2, 1, 2, 1]")
-        code, stdout, _ = self.run(
+        return self.run(
             capsys, "pipeline", "--graph", str(g), "--td", str(td),
             "--alpha", str(a), "--beta", str(b), "--t", "5",
         )
+
+    def test_pipeline_end_to_end(self, tmp_path, capsys):
+        code, stdout, _ = self.run_c4_pipeline(tmp_path, capsys, [[0, 1, 2], [0, 2, 3]])
         assert code == 0
         obj = json.loads(stdout)
         assert obj["bridge_status"] == "oracle"
         assert obj["composed"]["start"] == [1, 2, 1, 2]
+
+    @pytest.mark.parametrize("bad", [4, -1])
+    def test_pipeline_rejects_bag_vertex_out_of_range(self, tmp_path, capsys, bad):
+        code, stdout, err = self.run_c4_pipeline(
+            tmp_path, capsys, [[0, 1, 2], [0, 2, 3, bad]]
+        )
+        assert code == 2
+        assert stdout == ""
+        assert err == f"error: ValueError: bag 1 holds vertex {bad}, outside 0..3\n"
 
     def test_bench_csv_and_summary(self, tmp_path, capsys):
         summary_file = tmp_path / "summary.json"

@@ -67,6 +67,12 @@ class TestValidateDecomposition:
             validate_decomposition(g, td)
         assert ei.value.vertex == 0
 
+    @pytest.mark.parametrize("bad", [4, -1])
+    def test_bag_vertex_out_of_range_rejected(self, bad):
+        td = TreeDecomposition.make([{0, 1, 2}, {0, 2, 3, bad}], [(0, 1)])
+        with pytest.raises(ValueError, match=f"vertex {bad}, outside 0..3"):
+            validate_decomposition(c4(), td)
+
     def test_malformed_tree_rejected(self):
         g = Graph(2, [(0, 1)])
         td = TreeDecomposition.make([{0, 1}, {1}], [])

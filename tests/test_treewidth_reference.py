@@ -1,0 +1,103 @@
+"""Differential tests: the linear merge and validation against the
+rescanning reference versions kept in `treewidth_reference`."""
+
+from __future__ import annotations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from recolor import (
+    RecolorError,
+    TreeDecomposition,
+    degeneracy,
+    gen_partial_ktree,
+    gen_random_coloring,
+    merge_by_coloring,
+    validate_decomposition,
+)
+
+import treewidth_reference as ref
+
+
+@st.composite
+def merge_cases(draw, max_n=16):
+    """A partial k-tree (k = 1..4), its decomposition and a proper
+    coloring on a palette of d+1 .. 2k+1 colors, so merges are common."""
+    k = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.integers(min_value=k + 1, max_value=max_n))
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    g, td = gen_partial_ktree(n, k, seed)
+    d, ordering = degeneracy(g)
+    t = draw(st.integers(min_value=d + 1, max_value=2 * k + 1))
+    alpha = gen_random_coloring(g, ordering, t, seed + 1)
+    return g, td, alpha
+
+
+def merged(res):
+    return (
+        res.merge_map,
+        res.graph.n,
+        sorted(res.graph.edges()),
+        res.coloring,
+        res.decomposition,
+    )
+
+
+def outcome(validate, g, td):
+    try:
+        return validate(g, td)
+    except (RecolorError, ValueError) as e:
+        return type(e), str(e)
+
+
+@given(merge_cases())
+@settings(max_examples=200, deadline=None)
+def test_merge_matches_reference(case):
+    g, td, alpha = case
+    assert merged(merge_by_coloring(g, td, alpha)) == merged(ref.merge_by_coloring(g, td, alpha))
+
+
+@given(merge_cases(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_merge_ignores_bag_order(case, data):
+    g, td, alpha = case
+    perm = data.draw(st.permutations(range(len(td.bags))))
+    new_index = {old: new for new, old in enumerate(perm)}
+    shuffled = TreeDecomposition(
+        tuple(td.bags[old] for old in perm),
+        tuple((new_index[i], new_index[j]) for i, j in td.tree_edges),
+    )
+    res = merge_by_coloring(g, td, alpha)
+    res_p = merge_by_coloring(g, shuffled, alpha)
+    assert res_p.merge_map == res.merge_map
+    assert sorted(res_p.graph.edges()) == sorted(res.graph.edges())
+    assert res_p.coloring == res.coloring
+    assert res_p.decomposition.bags == tuple(res.decomposition.bags[old] for old in perm)
+
+
+@st.composite
+def corrupted_decompositions(draw):
+    """A valid instance with one to three members dropped from or added
+    to bags, or tree edges rewired."""
+    g, td, _ = draw(merge_cases(max_n=12))
+    bags = [set(b) for b in td.bags]
+    tree_edges = list(td.tree_edges)
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        kind = draw(st.sampled_from(["drop", "add", "rewire"]))
+        i = draw(st.integers(min_value=0, max_value=len(bags) - 1))
+        if kind == "drop" and bags[i]:
+            bags[i].discard(draw(st.sampled_from(sorted(bags[i]))))
+        elif kind == "add":
+            bags[i].add(draw(st.integers(min_value=0, max_value=g.n - 1)))
+        elif kind == "rewire" and tree_edges:
+            e = draw(st.integers(min_value=0, max_value=len(tree_edges) - 1))
+            a, _ = tree_edges[e]
+            tree_edges[e] = (a, i)
+    return g, TreeDecomposition.make(bags, tree_edges)
+
+
+@given(corrupted_decompositions())
+@settings(max_examples=300, deadline=None)
+def test_validation_matches_reference(case):
+    g, td = case
+    assert outcome(validate_decomposition, g, td) == outcome(ref.validate_decomposition, g, td)
