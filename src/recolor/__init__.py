@@ -89,6 +89,7 @@ from .treewidth import (
 )
 from .generators import (
     gen_chordal,
+    gen_instance,
     gen_ktree,
     gen_partial_ktree,
     gen_random_coloring,

@@ -8,7 +8,12 @@ over, not inside the full sequence, unless said otherwise.
 
 Conventions for a vertex v with earlier-neighbor set B, d = |B|:
   * restriction to B ∪ {v}: the subsequence of steps recoloring those
-    vertices, with the start coloring kept whole for replaying colors;
+    vertices, with the start coloring kept whole for replaying colors.
+    Every per-vertex check reads it from `_restrictions`, which makes a
+    single pass over the walk for all the vertices asked about: each step
+    joins the restriction of its own vertex and of every vertex having it
+    in B.  It also returns the positions of v's own steps in the
+    restriction; detectors index that restriction, 0 being its first step;
   * a recoloring of v is "tight" when exactly d steps separate it from
     the next recoloring of v inside that restriction;
   * a step recoloring a member of B is "saved" when it provably cannot
@@ -19,7 +24,6 @@ Conventions for a vertex v with earlier-neighbor set B, d = |B|:
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
@@ -80,31 +84,36 @@ def per_vertex_counts(s: RecoloringSequence) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 # per-vertex detectors over the restriction to B ∪ {v}
 
-
-def _steps_by_vertex(s: RecoloringSequence) -> dict[int, list[tuple[int, int]]]:
-    by: dict[int, list[tuple[int, int]]] = {}
-    for i, (v, c) in enumerate(s.steps):
-        by.setdefault(v, []).append((i, c))
-    return by
+_Restriction = tuple[list[RecoloringStep], list[int]]
 
 
-def _restriction_steps(
-    by: dict[int, list[tuple[int, int]]], members: Iterable[int]
-) -> list[RecoloringStep]:
-    merged: list[tuple[int, int, int]] = []
-    for v in members:
-        merged.extend((i, v, c) for i, c in by.get(v, ()))
-    merged.sort()
-    return [RecoloringStep(v, c) for _, v, c in merged]
+def _restrictions(
+    s: RecoloringSequence, ordering: EliminationOrdering, vertices: Iterable[int]
+) -> dict[int, _Restriction]:
+    """Each listed vertex's restriction to B ∪ {v}, from one pass over s.
+
+    Maps v to (steps, pos): the steps of s recoloring v or one of its
+    earlier neighbors, in walk order (the step objects of s themselves),
+    and the positions of v's own steps among them.
+    """
+    out: dict[int, _Restriction] = {v: ([], []) for v in vertices}
+    watchers: dict[int, list[list[RecoloringStep]]] = {}
+    for v, (rsteps, _) in out.items():
+        for u in ordering.back_nbrs[v]:
+            watchers.setdefault(u, []).append(rsteps)
+    for st in s.steps:
+        own = out.get(st.vertex)
+        if own is not None:
+            rsteps, pos = own
+            pos.append(len(rsteps))
+            rsteps.append(st)
+        for rsteps in watchers.get(st.vertex, ()):
+            rsteps.append(st)
+    return out
 
 
-def _v_positions(rsteps: Sequence[RecoloringStep], v: int) -> list[int]:
-    return [i for i, st in enumerate(rsteps) if st.vertex == v]
-
-
-def _tight(rsteps: Sequence[RecoloringStep], v: int, d: int) -> list[int]:
-    pos = _v_positions(rsteps, v)
-    return [pos[j] for j in range(len(pos) - 1) if pos[j + 1] - pos[j] - 1 == d]
+def _tight(pos: Sequence[int], d: int) -> list[int]:
+    return [p for p, q in zip(pos, pos[1:]) if q - p - 1 == d]
 
 
 def tight_recolorings(
@@ -113,28 +122,17 @@ def tight_recolorings(
     """Positions (inside the restriction to earlier neighbors plus v) of
     recolorings of v followed by the next one after exactly d other steps,
     d being v's back-degree.  The last recoloring of v is never tight."""
-    b = ordering.back_nbrs[v]
-    rsteps = _restriction_steps(_steps_by_vertex(s), (*b, v))
-    return _tight(rsteps, v, len(b))
+    _, pos = _restrictions(s, ordering, (v,))[v]
+    return _tight(pos, len(ordering.back_nbrs[v]))
 
 
-def _saved(rsteps: Sequence[RecoloringStep], v: int, d: int) -> list[int]:
-    pos = _v_positions(rsteps, v)
-    m = len(rsteps)
+def _saved(rsteps: Sequence[RecoloringStep], pos: Sequence[int], d: int) -> list[int]:
     saved = []
-    for i, st in enumerate(rsteps):
-        if st.vertex == v:
-            continue
-        before = bisect_right(pos, i)  # recolorings of v at positions <= i
-        if before == 0:
-            saved.append(i)
-            continue
-        if pos[-1] < i:
-            saved.append(i)
-            continue
-        lo = max(0, i - d)
-        k = bisect_left(pos, lo)
-        if k >= len(pos) or pos[k] >= i:
+    k = 0  # recolorings of v before position i
+    for i in range(len(rsteps)):
+        if k < len(pos) and pos[k] == i:
+            k += 1
+        elif k == 0 or k == len(pos) or pos[k - 1] < i - d:
             saved.append(i)
     return saved
 
@@ -148,9 +146,8 @@ def saved_steps(
 
     Returns (positions inside the restriction, their count r).
     """
-    b = ordering.back_nbrs[v]
-    rsteps = _restriction_steps(_steps_by_vertex(s), (*b, v))
-    idx = _saved(rsteps, v, len(b))
+    rsteps, pos = _restrictions(s, ordering, (v,))[v]
+    idx = _saved(rsteps, pos, len(ordering.back_nbrs[v]))
     return idx, len(idx)
 
 
@@ -164,13 +161,13 @@ class SaveInequalityResult(NamedTuple):
 
 
 def _save_inequality(
-    rsteps: Sequence[RecoloringStep], v: int, d: int
+    rsteps: Sequence[RecoloringStep], pos: Sequence[int], d: int
 ) -> SaveInequalityResult:
-    count_v = sum(1 for st in rsteps if st.vertex == v)
+    count_v = len(pos)
     kappa = len(rsteps) - count_v
     if d == 0:
         return SaveInequalityResult(count_v <= 1, count_v, kappa, 0, 0, 1)
-    r = len(_saved(rsteps, v, d))
+    r = len(_saved(rsteps, pos, d))
     bound = 1 + -((-(kappa - r)) // d)  # 1 + ceil((kappa - r) / d)
     return SaveInequalityResult(count_v <= bound, count_v, kappa, r, d, bound)
 
@@ -184,9 +181,8 @@ def check_save_inequality(
 
     Like the spacing check, this is a guarantee of the construction only
     when the palette has at least 2d+1 colors."""
-    b = ordering.back_nbrs[v]
-    rsteps = _restriction_steps(_steps_by_vertex(s), (*b, v))
-    return _save_inequality(rsteps, v, len(b))
+    rsteps, pos = _restrictions(s, ordering, (v,))[v]
+    return _save_inequality(rsteps, pos, len(ordering.back_nbrs[v]))
 
 
 @dataclass(frozen=True)
@@ -197,24 +193,20 @@ class Violation:
     note: str
 
 
-def _revisit_spacing(
-    rsteps: Sequence[RecoloringStep], v: int, d: int
-) -> list[Violation]:
-    pos = _v_positions(rsteps, v)
+def _revisit_spacing(pos: Sequence[int], v: int, d: int) -> list[Violation]:
     out = []
-    for j in range(len(pos) - 1):
-        gap = pos[j + 1] - pos[j] - 1
+    for p, q in zip(pos, pos[1:]):
+        gap = q - p - 1
         if gap == 0:
             out.append(
                 Violation(
-                    "revisit-spacing", v, (pos[j], pos[j + 1]),
-                    "vertex recolored twice in a row",
+                    "revisit-spacing", v, (p, q), "vertex recolored twice in a row"
                 )
             )
-        elif gap <= d - 1 and pos[j + 1] != pos[-1]:
+        elif gap <= d - 1 and q != pos[-1]:
             out.append(
                 Violation(
-                    "revisit-spacing", v, (pos[j], pos[j + 1]),
+                    "revisit-spacing", v, (p, q),
                     f"revisit after only {gap} steps before a later recoloring",
                 )
             )
@@ -231,31 +223,26 @@ def check_revisit_spacing(
     This is guaranteed for constructed sequences once the palette holds at
     least 2d+1 colors for the vertex's back-degree d; below that the
     flagged patterns can legitimately occur."""
-    by = _steps_by_vertex(s)
     out = []
-    for v in range(g.n):
-        b = ordering.back_nbrs[v]
-        rsteps = _restriction_steps(by, (*b, v))
-        out.extend(_revisit_spacing(rsteps, v, len(b)))
+    for v, (_, pos) in _restrictions(s, ordering, range(g.n)).items():
+        out.extend(_revisit_spacing(pos, v, len(ordering.back_nbrs[v])))
     return out
 
 
 def _causation(
-    rsteps: Sequence[RecoloringStep], start: Coloring, v: int, bset: frozenset[int]
+    rsteps: Sequence[RecoloringStep], pos: Sequence[int], start: Coloring, v: int
 ) -> list[Violation]:
-    pos = _v_positions(rsteps, v)
+    # Every step of the restriction that is not v's recolors a member of B.
     out = []
     color = start[v]
-    for j, p in enumerate(pos):
-        if j < len(pos) - 1:
-            nxt = rsteps[p + 1] if p + 1 < len(rsteps) else None
-            if nxt is None or nxt.vertex not in bset or nxt.new_color != color:
-                out.append(
-                    Violation(
-                        "causation", v, (p,),
-                        "non-final recoloring not forced by the following step",
-                    )
+    for p, q in zip(pos, pos[1:]):
+        if q == p + 1 or rsteps[p + 1].new_color != color:
+            out.append(
+                Violation(
+                    "causation", v, (p,),
+                    "non-final recoloring not forced by the following step",
                 )
+            )
         color = rsteps[p].new_color
     return out
 
@@ -265,42 +252,34 @@ def check_causation(
 ) -> list[Violation]:
     """Every recoloring of v except its last must be immediately followed,
     inside v's restriction, by an earlier neighbor taking v's old color."""
-    by = _steps_by_vertex(s)
     out = []
-    for v in range(g.n):
-        b = ordering.back_nbrs[v]
-        rsteps = _restriction_steps(by, (*b, v))
-        out.extend(_causation(rsteps, s.start, v, frozenset(b)))
+    for v, (rsteps, pos) in _restrictions(s, ordering, range(g.n)).items():
+        out.extend(_causation(rsteps, pos, s.start, v))
     return out
 
 
 def _tight_palette_coverage(
     rsteps: Sequence[RecoloringStep],
+    pos: Sequence[int],
     start: Coloring,
     v: int,
     back: Sequence[int],
     t: int,
 ) -> list[Violation]:
     d = len(back)
-    pos = _v_positions(rsteps, v)
-    m = len(rsteps)
-    want = {
-        pos[j]
-        for j in range(len(pos) - 1)
-        if pos[j + 1] - pos[j] - 1 == d and pos[j + 1] != m - 1
-    }
+    # a tight recoloring whose follower closes the restriction is exempt
+    want = [p for p in _tight(pos, d) if p + d + 2 != len(rsteps)]
     if not want:
         return []
     full = set(range(1, t + 1))
     cur = {w: start[w] for w in (*back, v)}
-    out = []
-    snapshots: dict[int, tuple[int, list[int]]] = {}
+    snapshots = dict.fromkeys(want)  # colors of v and of B just before p
     for i, (w, c) in enumerate(rsteps):
-        if i in want:
+        if i in snapshots:
             snapshots[i] = (cur[v], [cur[u] for u in back])
         cur[w] = c
-    for p in sorted(want):
-        c0, cs = snapshots[p]
+    out = []
+    for p, (c0, cs) in snapshots.items():
         gap_new = [rsteps[k].new_color for k in range(p + 1, p + 1 + d)]
         covered = {c0, rsteps[p].new_color, *cs, *gap_new}
         if covered != full:
@@ -331,8 +310,8 @@ def check_tight_palette_coverage(
         raise ValueError(
             f"coverage check needs palette 2d+1 = {2 * d + 1}, got {s.palette_size}"
         )
-    rsteps = _restriction_steps(_steps_by_vertex(s), (*back, v))
-    return _tight_palette_coverage(rsteps, s.start, v, back, s.palette_size)
+    rsteps, pos = _restrictions(s, ordering, (v,))[v]
+    return _tight_palette_coverage(rsteps, pos, s.start, v, back, s.palette_size)
 
 
 def rotating_recolorings(s: RecoloringSequence, x: int) -> list[int]:
@@ -340,15 +319,15 @@ def rotating_recolorings(s: RecoloringSequence, x: int) -> list[int]:
     later returns to the color held just before: with color history
     x_0, x_1, ..., the j-th recoloring is rotating iff x_{j+2} = x_{j-1}.
     Recolorings lacking two successors are never rotating."""
-    own = [(i, c) for i, (v, c) in enumerate(s.steps) if v == x]
-    return _rotating(own, s.start[x])
+    own = [i for i, (v, _) in enumerate(s.steps) if v == x]
+    hist = [s.start[x], *(s.steps[i].new_color for i in own)]
+    return [own[j] for j in _rotating(hist)]
 
 
-def _rotating(own: Sequence[tuple[int, int]], start_color: int) -> list[int]:
-    """Step indices of the rotating recolorings among one vertex's
-    (step index, new color) pairs, given its color before them."""
-    hist = [start_color] + [c for _, c in own]
-    return [own[j - 1][0] for j in range(1, len(own) - 1) if hist[j + 2] == hist[j - 1]]
+def _rotating(hist: Sequence[int]) -> list[int]:
+    """Ordinals (0 = first recoloring) of the rotating recolorings of one
+    vertex, given its color history, start color first."""
+    return [j - 1 for j in range(1, len(hist) - 2) if hist[j + 2] == hist[j - 1]]
 
 
 def naughty_recolorings(
@@ -458,7 +437,6 @@ def analyze_sequence(
     g: Graph,
     ordering: EliminationOrdering,
     s: RecoloringSequence,
-    coverage: str = "auto",
     causation: bool = True,
     naughty_cliques: Sequence[Iterable[int]] | None = None,
 ) -> AnalysisReport:
@@ -467,11 +445,9 @@ def analyze_sequence(
     Checks whose guarantee needs palette headroom (spacing, the save
     budget) are applied per vertex only when t >= 2d+1 for that vertex's
     back-degree d, so reported violations are genuine at any palette.
-    `coverage` is "auto" (palette-coverage check on max-back-degree
-    vertices whenever the palette is exactly 2d+1), "on" (check every
-    vertex whose back-degree d satisfies palette = 2d+1) or "off".
+    The palette-coverage check runs on the max-back-degree vertices when
+    the palette is exactly 2d+1 for them.
     """
-    by = _steps_by_vertex(s)
     counts = per_vertex_counts(s)
     dmax = ordering.max_back_degree
     t = s.palette_size
@@ -479,18 +455,17 @@ def analyze_sequence(
     tight_total = 0
     saved_total = 0
     rotating_total = 0
-    for v in range(g.n):
+    for v, (rsteps, pos) in _restrictions(s, ordering, range(g.n)).items():
         back = ordering.back_nbrs[v]
         d = len(back)
-        rsteps = _restriction_steps(by, (*back, v))
-        tight_total += len(_tight(rsteps, v, d))
+        tight_total += len(_tight(pos, d))
         if causation:
-            violations.extend(_causation(rsteps, s.start, v, frozenset(back)))
+            violations.extend(_causation(rsteps, pos, s.start, v))
         # The spacing and budget guarantees hold once the palette leaves
         # room beside the back-clique: t >= 2d+1 for this vertex's d.
         if t >= 2 * d + 1:
-            violations.extend(_revisit_spacing(rsteps, v, d))
-            res = _save_inequality(rsteps, v, d)
+            violations.extend(_revisit_spacing(pos, v, d))
+            res = _save_inequality(rsteps, pos, d)
             saved_total += res.r
             if not res.passed:
                 violations.append(
@@ -500,12 +475,10 @@ def analyze_sequence(
                         f"(kappa={res.kappa}, r={res.r}, d={res.d})",
                     )
                 )
-        do_cover = coverage == "on" or (
-            coverage == "auto" and d == dmax and t == 2 * dmax + 1
-        )
-        if do_cover and t == 2 * d + 1:
-            violations.extend(_tight_palette_coverage(rsteps, s.start, v, back, t))
-        rotating_total += len(_rotating(by.get(v, ()), s.start[v]))
+        if d == dmax and t == 2 * d + 1:
+            violations.extend(_tight_palette_coverage(rsteps, pos, s.start, v, back, t))
+        hist = [s.start[v], *(rsteps[p].new_color for p in pos)]
+        rotating_total += len(_rotating(hist))
     stats = {
         "tight": tight_total,
         "saved": saved_total,

@@ -24,7 +24,7 @@ from .errors import (
     StateCapExceeded,
 )
 from .experiment import ExperimentConfig, rows_to_csv, rows_to_json, run_experiment
-from .generators import gen_chordal, gen_ktree, gen_partial_ktree
+from .generators import FAMILIES, gen_instance
 from .graphs import degeneracy, mcs_peo
 from .oracle import (
     DEFAULT_STATE_CAP,
@@ -54,40 +54,14 @@ def _emit_text(text: str, out: str | None) -> None:
 
 
 def _cmd_gen(args) -> int:
-    if args.family == "ktree":
-        g, td, ordering = gen_ktree(args.n, args.k, args.seed)
-        bundle = {
-            "schema_version": 1,
-            "family": "ktree",
-            "seed": args.seed,
-            "k": args.k,
-            "graph": rio.graph_to_json(g),
-            "decomposition": rio.decomposition_to_json(td),
-            "ordering": rio.ordering_to_json(ordering),
-        }
-    elif args.family == "chordal":
-        g, ordering = gen_chordal(args.n, args.k, args.seed)
-        bundle = {
-            "schema_version": 1,
-            "family": "chordal",
-            "seed": args.seed,
-            "k": args.k,
-            "graph": rio.graph_to_json(g),
-            "ordering": rio.ordering_to_json(ordering),
-        }
-    else:
-        g, td = gen_partial_ktree(args.n, args.k, args.seed)
-        d, ordering = degeneracy(g)
-        bundle = {
-            "schema_version": 1,
-            "family": "partial-ktree",
-            "seed": args.seed,
-            "k": args.k,
-            "degeneracy": d,
-            "graph": rio.graph_to_json(g),
-            "decomposition": rio.decomposition_to_json(td),
-            "ordering": rio.ordering_to_json(ordering),
-        }
+    g, ordering, td, d = gen_instance(args.family, args.n, args.k, args.seed)
+    bundle = {"schema_version": 1, "family": args.family, "seed": args.seed, "k": args.k}
+    if args.family == "partial-ktree":
+        bundle["degeneracy"] = d
+    bundle["graph"] = rio.graph_to_json(g)
+    if td is not None:
+        bundle["decomposition"] = rio.decomposition_to_json(td)
+    bundle["ordering"] = rio.ordering_to_json(ordering)
     if args.format == "text":
         _emit_text(rio.graph_to_text(g), args.out)
     else:
@@ -260,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP)
 
     sp = sub.add_parser("gen", help="generate a random instance")
-    sp.add_argument("--family", choices=["ktree", "chordal", "partial-ktree"], default="ktree")
+    sp.add_argument("--family", choices=FAMILIES, default="ktree")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--k", type=int, default=2)
     sp.add_argument("--seed", type=int, default=0)
@@ -300,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_pipeline)
 
     sp = sub.add_parser("bench", help="run a batch experiment")
-    sp.add_argument("--family", choices=["ktree", "chordal", "partial-ktree"], default="ktree")
+    sp.add_argument("--family", choices=FAMILIES, default="ktree")
     sp.add_argument("--n-list", default="20", help="comma-separated n grid")
     sp.add_argument("--k", type=int, default=2)
     sp.add_argument("--t-rule", default="2d+1")

@@ -44,23 +44,24 @@ class RecoloringSequence:
     def __len__(self) -> int:
         return len(self.steps)
 
-    def step_vertices(self) -> list[int]:
-        return [s.vertex for s in self.steps]
-
 
 def apply_sequence(g: Graph, s: RecoloringSequence) -> Coloring:
     """Replay s on g, validating every step, and return the final coloring.
 
     Raises NullStep when a step repeats the current color,
-    ImproperIntermediate when a step creates a monochromatic edge, and
-    PaletteViolation when a step's color falls outside the palette.
+    ImproperIntermediate when a step creates a monochromatic edge,
+    PaletteViolation when a step's color falls outside the palette, and
+    ValueError when a step's vertex falls outside 0..n-1.
     """
+    n = g.n
     t = s.palette_size
     if not is_proper(g, s.start.with_palette(t)):
         raise ImproperInput("start coloring is not proper")
     colors = list(s.start.colors)
     adj = g.adj
     for i, (v, c) in enumerate(s.steps):
+        if not 0 <= v < n:
+            raise ValueError(f"step {i} recolors vertex {v}, outside 0..{n - 1}")
         if c < 1 or c > t:
             raise PaletteViolation(v, c, t)
         if colors[v] == c:

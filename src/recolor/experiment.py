@@ -26,13 +26,11 @@ from .analysis import analyze_sequence
 from .bounds import per_vertex_bound
 from .engine import apply_sequence, best_choice_sequence
 from .errors import InvalidParams
-from .generators import gen_chordal, gen_ktree, gen_partial_ktree, gen_random_coloring
-from .graphs import EliminationOrdering, Graph, degeneracy
+from .generators import FAMILIES, gen_instance, gen_random_coloring
+from .graphs import EliminationOrdering, Graph
 from .oracle import rt_distance
 
 SCHEMA_VERSION = 1
-
-FAMILIES = ("ktree", "chordal", "partial-ktree")
 
 
 def resolve_t_rule(rule: str | int, d: int) -> int:
@@ -58,7 +56,6 @@ class ExperimentConfig:
     t_rule: str | int = "2d+1"
     trials: int = 10
     seed: int = 0
-    coverage: str = "auto"
     causation: bool = True
     naughty: bool = False
     oracle_cross_check: bool = False
@@ -120,23 +117,10 @@ ROW_FIELDS = [
 ]
 
 
-def _instance(cfg: ExperimentConfig, n: int, seed: int):
-    """Generate (graph, ordering, td_or_None, d) for one trial."""
-    if cfg.family == "ktree":
-        g, td, ordering = gen_ktree(n, cfg.k, seed)
-        return g, ordering, td, ordering.max_back_degree
-    if cfg.family == "chordal":
-        g, ordering = gen_chordal(n, cfg.k, seed)
-        return g, ordering, None, ordering.max_back_degree
-    g, td = gen_partial_ktree(n, cfg.k, seed)
-    d, ordering = degeneracy(g)
-    return g, ordering, td, d
-
-
 def run_trial(cfg: ExperimentConfig, trial: int, trial_seed: int) -> ExperimentRow:
     n = cfg.n_values[trial % len(cfg.n_values)]
     start = time.monotonic()
-    g, ordering, td, d = _instance(cfg, n, trial_seed)
+    g, ordering, td, d = gen_instance(cfg.family, n, cfg.k, trial_seed)
     t = resolve_t_rule(cfg.t_rule, max(d, 1))
     alpha = gen_random_coloring(g, ordering, t, trial_seed * 2 + 1)
     beta = gen_random_coloring(g, ordering, t, trial_seed * 2 + 2)
@@ -152,10 +136,7 @@ def run_trial(cfg: ExperimentConfig, trial: int, trial_seed: int) -> ExperimentR
         if cfg.naughty and d >= 2:
             cliques = _sample_cliques(g, ordering, d)
         report = analyze_sequence(
-            g, ordering, s,
-            coverage=cfg.coverage,
-            causation=cfg.causation,
-            naughty_cliques=cliques,
+            g, ordering, s, causation=cfg.causation, naughty_cliques=cliques
         )
         length = report.length
         max_count = report.max_count

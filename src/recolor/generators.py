@@ -11,7 +11,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .errors import InvalidParams, PaletteExhausted
-from .graphs import Coloring, EliminationOrdering, Graph
+from .graphs import Coloring, EliminationOrdering, Graph, degeneracy
 from .treewidth import TreeDecomposition
 
 
@@ -118,6 +118,29 @@ def gen_partial_ktree(
     p = keep_prob if keep_prob is not None else rng.uniform(0.5, 0.9)
     kept = [(u, v) for u, v in g.edges() if rng.random() < p]
     return PartialKTreeInstance(Graph(n, kept), td)
+
+
+FAMILIES = ("ktree", "chordal", "partial-ktree")
+
+
+def gen_instance(family: str, n: int, k: int, seed: int):
+    """One instance of a named family: (graph, ordering, decomposition or
+    None, d), d being the ordering's max back-degree.
+
+    k is the width for "ktree" and "partial-ktree" and the degeneracy cap
+    for "chordal"; a partial k-tree is ordered by degeneracy.
+    """
+    if family == "ktree":
+        g, td, ordering = gen_ktree(n, k, seed)
+        return g, ordering, td, ordering.max_back_degree
+    if family == "chordal":
+        g, ordering = gen_chordal(n, k, seed)
+        return g, ordering, None, ordering.max_back_degree
+    if family == "partial-ktree":
+        g, td = gen_partial_ktree(n, k, seed)
+        d, ordering = degeneracy(g)
+        return g, ordering, td, d
+    raise InvalidParams(f"unknown family {family!r}")
 
 
 def gen_random_coloring(

@@ -11,7 +11,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .errors import NotChordal, PaletteExhausted, PaletteViolation
+from .errors import NotChordal, PaletteExhausted, PaletteViolation, RecolorError
 
 
 class Graph:
@@ -240,7 +240,10 @@ def degeneracy(g: Graph) -> tuple[int, EliminationOrdering]:
                 heapq.heappush(heap, (deg[u], u))
     order = list(reversed(peel))
     ordering = EliminationOrdering.from_order(g, order)
-    assert ordering.max_back_degree == d
+    if ordering.max_back_degree != d:
+        raise RecolorError(
+            f"peeling found degeneracy {d}, ordering has {ordering.max_back_degree}"
+        )
     return d, ordering
 
 

@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 from recolor import (
     Coloring,
     Graph,
-    degeneracy,
     gen_chordal,
+    gen_instance,
     gen_ktree,
-    gen_partial_ktree,
     gen_random_coloring,
     mcs_peo,
 )
+from recolor.generators import FAMILIES
 
 
 @st.composite
@@ -49,19 +49,11 @@ def engine_cases(draw, max_n=10, max_k=2, tight_palette=False):
     which all structural guarantees apply); otherwise t ranges over
     d+2 .. 2d+2.
     """
-    kind = draw(st.sampled_from(["ktree", "chordal", "partial"]))
+    family = draw(st.sampled_from(FAMILIES))
     k = draw(st.integers(min_value=1, max_value=max_k))
     n = draw(st.integers(min_value=k + 1, max_value=max_n))
     seed = draw(st.integers(min_value=0, max_value=10_000))
-    if kind == "ktree":
-        g, _, ordering = gen_ktree(n, k, seed)
-        d = ordering.max_back_degree
-    elif kind == "chordal":
-        g, ordering = gen_chordal(n, k, seed)
-        d = ordering.max_back_degree
-    else:
-        g, _ = gen_partial_ktree(n, k, seed)
-        d, ordering = degeneracy(g)
+    g, ordering, _, d = gen_instance(family, n, k, seed)
     d = max(d, 1)
     if tight_palette:
         t = 2 * d + 1

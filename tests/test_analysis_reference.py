@@ -1,0 +1,97 @@
+"""Differential tests: the one-pass restriction analysis against the
+per-vertex rebuilding reference versions kept in `analysis_reference`."""
+
+from __future__ import annotations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from recolor import (
+    Coloring,
+    EliminationOrdering,
+    RecoloringSequence,
+    RecoloringStep,
+    analyze_sequence,
+    best_choice_sequence,
+    check_causation,
+    check_revisit_spacing,
+    check_save_inequality,
+    check_tight_palette_coverage,
+    degeneracy,
+    gen_partial_ktree,
+    gen_random_coloring,
+    saved_steps,
+    tight_recolorings,
+)
+
+import analysis_reference as ref
+
+
+@st.composite
+def walks(draw, max_n=12, max_steps=40):
+    """A partial k-tree (k = 1..3) under its degeneracy ordering or a
+    random one, a palette below, at (most often) or above 2d+1, and a
+    walk on it: a constructed valid one, or random steps from a random
+    start coloring (mostly invalid walks)."""
+    k = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.integers(min_value=k + 1, max_value=max_n))
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    g, _ = gen_partial_ktree(n, k, seed)
+    if draw(st.booleans()):
+        d, ordering = degeneracy(g)
+    else:
+        ordering = EliminationOrdering.from_order(g, draw(st.permutations(range(n))))
+        d = ordering.max_back_degree
+    palettes = st.integers(min_value=max(d, 1), max_value=2 * d + 3)
+    t = draw(st.one_of(st.just(2 * d + 1), palettes))
+    if t >= d + 2 and draw(st.booleans()):
+        alpha = gen_random_coloring(g, ordering, t, seed + 1)
+        beta = gen_random_coloring(g, ordering, t, seed + 2)
+        return g, ordering, best_choice_sequence(g, ordering, alpha, beta)
+    colors = st.integers(min_value=1, max_value=t)
+    start = draw(st.lists(colors, min_size=n, max_size=n))
+    # half the steps stay inside one max-back-degree vertex's restriction,
+    # so tight recolorings (and coverage gaps around them) turn up
+    focus = next(v for v in range(n) if len(ordering.back_nbrs[v]) == d)
+    vertices = st.one_of(
+        st.integers(min_value=0, max_value=n - 1),
+        st.sampled_from((*ordering.back_nbrs[focus], focus)),
+    )
+    size = draw(st.integers(min_value=0, max_value=max_steps))
+    steps = draw(st.lists(st.tuples(vertices, colors), min_size=size, max_size=size))
+    s = RecoloringSequence(
+        tuple(RecoloringStep(v, c) for v, c in steps), Coloring(start, t), t
+    )
+    return g, ordering, s
+
+
+def outcome(check, *args):
+    try:
+        return check(*args)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+@given(walks(), st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_report_matches_reference(case, causation):
+    g, ordering, s = case
+    got = analyze_sequence(g, ordering, s, causation=causation)
+    want = ref.analyze_sequence(g, ordering, s, causation=causation)
+    assert got.to_json_dict() == want.to_json_dict()
+
+
+@given(walks())
+@settings(max_examples=300, deadline=None)
+def test_checks_match_reference(case):
+    g, ordering, s = case
+    assert check_revisit_spacing(s, g, ordering) == ref.check_revisit_spacing(s, g, ordering)
+    assert check_causation(s, g, ordering) == ref.check_causation(s, g, ordering)
+    for v in range(g.n):
+        args = (s, g, ordering, v)
+        assert tight_recolorings(*args) == ref.tight_recolorings(*args)
+        assert saved_steps(*args) == ref.saved_steps(*args)
+        assert check_save_inequality(*args) == ref.check_save_inequality(*args)
+        assert outcome(check_tight_palette_coverage, *args) == outcome(
+            ref.check_tight_palette_coverage, *args
+        )

@@ -62,6 +62,12 @@ class TestApplySequence:
         s = seq([], (1, 2, 1), 3)
         assert apply_sequence(p3(), s).colors == (1, 2, 1)
 
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_step_vertex_out_of_range_rejected(self, bad):
+        s = seq([(1, 3), (bad, 3)], (1, 2, 1), 3)
+        with pytest.raises(ValueError, match=rf"^step 1 recolors vertex {bad}, outside 0\.\.2$"):
+            apply_sequence(p3(), s)
+
 
 class TestReverseSequence:
     def test_worked_trace_reversal(self):

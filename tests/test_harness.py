@@ -14,6 +14,7 @@ from recolor import (
     certify_perfect,
     degeneracy,
     gen_chordal,
+    gen_instance,
     gen_ktree,
     gen_partial_ktree,
     gen_random_coloring,
@@ -73,6 +74,10 @@ class TestGenerators:
         assert set(g.edges()) <= set(full.edges())
         assert validate_decomposition(g, td) == 2
         assert degeneracy(g)[0] <= 2
+
+    def test_gen_instance_rejects_unknown_family(self):
+        with pytest.raises(InvalidParams):
+            gen_instance("grid", 8, 2, 0)
 
     def test_generators_are_deterministic(self):
         a = gen_ktree(12, 2, seed=42)
@@ -201,6 +206,24 @@ class TestCli:
         assert code == 0
         assert json.loads(stdout)["perfect"] is True
 
+    @pytest.mark.parametrize(
+        "family, keys",
+        [
+            ("ktree", ["graph", "decomposition", "ordering"]),
+            ("chordal", ["graph", "ordering"]),
+            ("partial-ktree", ["degeneracy", "graph", "decomposition", "ordering"]),
+        ],
+    )
+    def test_gen_bundle_keys(self, tmp_path, capsys, family, keys):
+        out = tmp_path / "inst.json"
+        code, _, _ = self.run(
+            capsys, "gen", "--family", family, "--n", "8", "--k", "2", "--out", str(out)
+        )
+        assert code == 0
+        bundle = json.loads(out.read_text())
+        assert list(bundle) == ["schema_version", "family", "seed", "k", *keys]
+        assert bundle["family"] == family
+
     def test_recolor_then_analyze_round_trip(self, tmp_path, capsys):
         g, a, b = self.write_p3(tmp_path)
         seq_file = tmp_path / "s.json"
@@ -226,6 +249,24 @@ class TestCli:
         report = json.loads(stdout)
         assert report["passed"] is False
         assert report["violations"][0]["check"] == "validity"
+
+    @pytest.mark.parametrize("bad", [-1, 6])
+    def test_analyze_rejects_step_vertex_out_of_range(self, tmp_path, capsys, bad):
+        inst = tmp_path / "inst.json"
+        code, _, _ = self.run(capsys, "gen", "--n", "6", "--k", "2", "--out", str(inst))
+        assert code == 0
+        g, _, ordering = gen_ktree(6, 2, seed=0)
+        start = gen_random_coloring(g, ordering, 5, seed=0)
+        seq_file = tmp_path / "s.json"
+        seq_file.write_text(
+            json.dumps({"palette": 5, "start": list(start.colors), "steps": [[bad, 1]]})
+        )
+        code, stdout, err = self.run(
+            capsys, "analyze", "--graph", str(inst), "--seq", str(seq_file)
+        )
+        assert code == 2
+        assert stdout == ""
+        assert err == f"error: ValueError: step 0 recolors vertex {bad}, outside 0..5\n"
 
     def test_oracle_distance_connected_diameter(self, tmp_path, capsys):
         g, a, b = self.write_p3(tmp_path)
