@@ -98,7 +98,7 @@ def _coloring_arg(value: str, palette: int):
     from .graphs import Coloring
 
     if value.lstrip().startswith("["):
-        return Coloring([int(x) for x in json.loads(value)], palette)
+        return Coloring(rio._ints(json.loads(value), "a coloring"), palette)
     return rio.read_coloring(value, palette)
 
 
@@ -297,10 +297,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except StateCapExceeded as e:
-        sys.stderr.write(f"error: {e}\n")
-        return CAP_EXCEEDED
-    except OracleInfeasible as e:
+    except (StateCapExceeded, OracleInfeasible) as e:
         sys.stderr.write(f"error: {e}\n")
         return CAP_EXCEEDED
     except (RecolorError, ValueError, OSError, json.JSONDecodeError, KeyError) as e:

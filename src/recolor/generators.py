@@ -10,8 +10,8 @@ import random
 from itertools import combinations
 from typing import NamedTuple
 
-from .errors import InvalidParams, PaletteExhausted
-from .graphs import Coloring, EliminationOrdering, Graph, degeneracy
+from .errors import InvalidParams
+from .graphs import Coloring, EliminationOrdering, Graph, _color_along, degeneracy
 from .treewidth import TreeDecomposition
 
 
@@ -149,12 +149,4 @@ def gen_random_coloring(
     """Uniformly random choice among free colors, vertex by vertex along
     the ordering.  Raises PaletteExhausted when some vertex has no free
     color left."""
-    rng = random.Random(seed)
-    colors = [0] * g.n
-    for v in ordering.order:
-        used = {colors[u] for u in ordering.back_nbrs[v]}
-        free = [c for c in range(1, t + 1) if c not in used]
-        if not free:
-            raise PaletteExhausted(v, t)
-        colors[v] = rng.choice(free)
-    return Coloring(colors, t)
+    return _color_along(ordering, t, random.Random(seed).choice)

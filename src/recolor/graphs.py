@@ -187,59 +187,53 @@ def certify_perfect(g: Graph, ordering: EliminationOrdering) -> EliminationOrder
     return EliminationOrdering(ordering.order, ordering.rank, ordering.back_nbrs, True)
 
 
+def _peel(g: Graph, key: list[int]) -> tuple[list[int], int]:
+    """Take every vertex once, always the least (key, id) among the untaken;
+    each take lowers every untaken neighbor's key (updated in place) by one.
+    Returns the order of takes and the largest key at a take, at least 0.
+    A lazy heap that skips stale entries makes it O((n + m) log n).
+    """
+    heap = [(k, v) for v, k in enumerate(key)]
+    heapq.heapify(heap)
+    taken = [False] * g.n
+    order = []
+    top = 0
+    while heap:
+        k, v = heapq.heappop(heap)
+        if k != key[v]:
+            continue
+        taken[v] = True
+        order.append(v)
+        top = max(top, k)
+        for u in g.adj[v]:
+            if not taken[u]:
+                key[u] -= 1
+                heapq.heappush(heap, (key[u], u))
+    return order, top
+
+
 def mcs_peo(g: Graph) -> EliminationOrdering:
     """Perfect elimination ordering via maximum cardinality search.
 
     Vertices are picked one by one, always a vertex with the most already
-    picked neighbors (ties broken by smallest id).  On a chordal graph the
-    resulting order has clique back-neighborhoods, which is certified
-    before returning; when certification fails the graph is not chordal
-    and NotChordal is raised.
+    picked neighbors (ties broken by smallest id), in O((n + m) log n): a
+    peel whose keys start at 0.  On a chordal graph the order has clique
+    back-neighborhoods, which is certified before returning; when
+    certification fails the graph is not chordal and NotChordal is raised.
     """
-    n = g.n
-    weight = [0] * n
-    picked = [False] * n
-    order = []
-    for _ in range(n):
-        best = -1
-        for v in range(n):
-            if not picked[v] and (best < 0 or weight[v] > weight[best]):
-                best = v
-        picked[best] = True
-        order.append(best)
-        for u in g.adj[best]:
-            if not picked[u]:
-                weight[u] += 1
+    order, _ = _peel(g, [0] * g.n)
     return certify_perfect(g, EliminationOrdering.from_order(g, order))
 
 
 def degeneracy(g: Graph) -> tuple[int, EliminationOrdering]:
     """Exact degeneracy and a witnessing ordering.
 
-    Vertices are peeled in min-degree order (smallest id on ties); the
-    ordering returned is the reverse of the peeling, so every vertex has
-    at most d earlier neighbors and some vertex has exactly d.
+    Vertices are peeled in min-degree order, smallest id on ties, in
+    O((n + m) log n); the reversed peeling is returned, so every vertex
+    has at most d earlier neighbors and some vertex has exactly d.
     """
-    n = g.n
-    deg = [g.degree(v) for v in range(n)]
-    removed = [False] * n
-    heap = [(deg[v], v) for v in range(n)]
-    heapq.heapify(heap)
-    peel = []
-    d = 0
-    while heap:
-        dv, v = heapq.heappop(heap)
-        if removed[v] or dv != deg[v]:
-            continue
-        removed[v] = True
-        peel.append(v)
-        d = max(d, dv)
-        for u in g.adj[v]:
-            if not removed[u]:
-                deg[u] -= 1
-                heapq.heappush(heap, (deg[u], u))
-    order = list(reversed(peel))
-    ordering = EliminationOrdering.from_order(g, order)
+    peel, d = _peel(g, [g.degree(v) for v in range(g.n)])
+    ordering = EliminationOrdering.from_order(g, peel[::-1])
     if ordering.max_back_degree != d:
         raise RecolorError(
             f"peeling found degeneracy {d}, ordering has {ordering.max_back_degree}"
@@ -247,17 +241,23 @@ def degeneracy(g: Graph) -> tuple[int, EliminationOrdering]:
     return d, ordering
 
 
+def _color_along(ordering: EliminationOrdering, palette: int, pick) -> Coloring:
+    """Color each vertex along the ordering with pick(free), `free` being the
+    ascending colors of 1..palette unused by its earlier neighbors.  Raises
+    PaletteExhausted when `free` is empty.
+    """
+    colors = [0] * len(ordering.order)
+    for v in ordering.order:
+        used = {colors[u] for u in ordering.back_nbrs[v]}
+        free = [c for c in range(1, palette + 1) if c not in used]
+        if not free:
+            raise PaletteExhausted(v, palette)
+        colors[v] = pick(free)
+    return Coloring(colors, palette)
+
+
 def greedy_color(g: Graph, ordering: EliminationOrdering, palette: int) -> Coloring:
     """Color along the ordering, always the smallest color free of earlier
     neighbors.  Raises PaletteExhausted when no color in 1..palette is free.
     """
-    colors = [0] * g.n
-    for v in ordering.order:
-        used = {colors[u] for u in ordering.back_nbrs[v]}
-        c = 1
-        while c in used:
-            c += 1
-        if c > palette:
-            raise PaletteExhausted(v, palette)
-        colors[v] = c
-    return Coloring(colors, palette)
+    return _color_along(ordering, palette, min)

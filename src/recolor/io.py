@@ -22,6 +22,38 @@ from .engine import RecoloringSequence, RecoloringStep
 from .treewidth import TreeDecomposition
 
 
+def _int(x) -> int:
+    """int(x), as ids and colors are read; InvalidParams when x is of a
+    type int() does not take (an array, an object, null)."""
+    try:
+        return int(x)
+    except (TypeError, OverflowError):
+        raise InvalidParams(f"expected an integer, got {x!r}") from None
+
+
+def _array(obj, what: str) -> list:
+    if not isinstance(obj, (list, tuple)):
+        raise InvalidParams(f"{what} must be a JSON array")
+    return obj
+
+
+def _object(obj, what: str) -> dict:
+    if not isinstance(obj, dict):
+        raise InvalidParams(f"{what} must be a JSON object")
+    return obj
+
+
+def _ints(obj, what: str) -> list[int]:
+    return [_int(x) for x in _array(obj, what)]
+
+
+def _pairs(obj, what: str) -> list[tuple[int, int]]:
+    pairs = [_ints(p, f"each of {what}") for p in _array(obj, what)]
+    if any(len(p) != 2 for p in pairs):
+        raise InvalidParams(f"each of {what} must be a pair")
+    return [(a, b) for a, b in pairs]
+
+
 def graph_to_text(g: Graph) -> str:
     lines = [f"{g.n} {g.m}"]
     lines.extend(f"{u} {v}" for u, v in g.edges())
@@ -45,11 +77,12 @@ def graph_to_json(g: Graph) -> dict:
 
 
 def graph_from_json(obj: dict) -> Graph:
-    n = int(obj["n"])
+    n = _int(_object(obj, "graph JSON")["n"])
     if "adj" in obj:
-        edges = [(u, int(v)) for u, nbrs in enumerate(obj["adj"]) for v in nbrs]
+        adj = [_ints(nbrs, "each of 'adj'") for nbrs in _array(obj["adj"], "'adj'")]
+        edges = [(u, v) for u, nbrs in enumerate(adj) for v in nbrs]
     elif "edges" in obj:
-        edges = [(int(u), int(v)) for u, v in obj["edges"]]
+        edges = _pairs(obj["edges"], "'edges'")
     else:
         raise InvalidParams("graph JSON needs 'adj' or 'edges'")
     return Graph(n, edges)
@@ -71,9 +104,7 @@ def coloring_to_json(c: Coloring) -> list[int]:
 
 def read_coloring(path: str | Path, palette: int) -> Coloring:
     obj = json.loads(Path(path).read_text())
-    if not isinstance(obj, list):
-        raise InvalidParams("a coloring file must hold a JSON array")
-    return Coloring([int(x) for x in obj], palette)
+    return Coloring(_ints(obj, "a coloring file"), palette)
 
 
 def write_coloring(path: str | Path, c: Coloring) -> None:
@@ -88,7 +119,9 @@ def decomposition_to_json(td: TreeDecomposition) -> dict:
 
 
 def decomposition_from_json(obj: dict) -> TreeDecomposition:
-    return TreeDecomposition.make(obj["bags"], [tuple(e) for e in obj["tree_edges"]])
+    obj = _object(obj, "decomposition JSON")
+    bags = [_ints(b, "each of 'bags'") for b in _array(obj["bags"], "'bags'")]
+    return TreeDecomposition.make(bags, _pairs(obj["tree_edges"], "'tree_edges'"))
 
 
 def read_decomposition(path: str | Path) -> TreeDecomposition:
@@ -110,7 +143,7 @@ def read_ordering(path: str | Path, g: Graph) -> EliminationOrdering:
         order = obj["order"] if isinstance(obj, dict) else obj
     else:
         order = obj
-    return EliminationOrdering.from_order(g, [int(v) for v in order])
+    return EliminationOrdering.from_order(g, _ints(order, "an ordering"))
 
 
 def sequence_to_json(s: RecoloringSequence) -> dict:
@@ -122,9 +155,9 @@ def sequence_to_json(s: RecoloringSequence) -> dict:
 
 
 def sequence_from_json(obj: dict) -> RecoloringSequence:
-    palette = int(obj["palette"])
-    start = Coloring([int(c) for c in obj["start"]], palette)
-    steps = tuple(RecoloringStep(int(v), int(c)) for v, c in obj["steps"])
+    palette = _int(_object(obj, "sequence JSON")["palette"])
+    start = Coloring(_ints(obj["start"], "'start'"), palette)
+    steps = tuple(RecoloringStep(v, c) for v, c in _pairs(obj["steps"], "'steps'"))
     return RecoloringSequence(steps, start, palette)
 
 

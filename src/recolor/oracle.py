@@ -32,7 +32,6 @@ def enumerate_colorings(
     g: Graph, t: int, state_cap: int = DEFAULT_STATE_CAP
 ) -> int:
     """Exact number of proper t-colorings, by backtracking."""
-    _check_cap(g, t, state_cap)
     return sum(1 for _ in iter_colorings(g, t, state_cap))
 
 
@@ -84,10 +83,6 @@ class _Space:
 
     def encode(self, state: tuple[int, ...]) -> int:
         return sum((c - 1) * p for c, p in zip(state, self.pw))
-
-    def decode(self, code: int) -> tuple[int, ...]:
-        t = self.t
-        return tuple((code // p) % t + 1 for p in self.pw)
 
     def bfs(
         self,
@@ -192,7 +187,6 @@ def rt_connected(g: Graph, t: int, state_cap: int = DEFAULT_STATE_CAP) -> bool:
     A graph with no proper t-coloring at all yields False as well; call
     `enumerate_colorings` to tell the two apart.
     """
-    _check_cap(g, t, state_cap)
     total = 0
     first = None
     for state in iter_colorings(g, t, state_cap):
@@ -211,7 +205,6 @@ def rt_diameter(g: Graph, t: int, state_cap: int = DEFAULT_STATE_CAP) -> int | f
     Returns math.inf when the space is disconnected or empty.  Runs a BFS
     from every state, so keep instances tiny.
     """
-    _check_cap(g, t, state_cap)
     states = list(iter_colorings(g, t, state_cap))
     if not states:
         return math.inf
@@ -231,7 +224,6 @@ def frozen_states(
     g: Graph, t: int, state_cap: int = DEFAULT_STATE_CAP
 ) -> list[tuple[int, ...]]:
     """Proper t-colorings with no recoloring move at all."""
-    _check_cap(g, t, state_cap)
     out = []
     for state in iter_colorings(g, t, state_cap):
         movable = False

@@ -1,0 +1,80 @@
+"""Differential tests: the shared peeling and coloring loops against the
+separate reference loops kept in `graphs_reference`."""
+
+from __future__ import annotations
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from recolor import (
+    EliminationOrdering,
+    Graph,
+    RecolorError,
+    degeneracy,
+    gen_chordal,
+    gen_partial_ktree,
+    gen_random_coloring,
+    greedy_color,
+    mcs_peo,
+)
+
+import graphs_reference as ref
+
+
+@st.composite
+def graphs(draw, max_n=30):
+    """An arbitrary graph at a random density (mostly not chordal), a
+    `gen_chordal` graph (d = 1..4) or a partial k-tree (k = 1..4)."""
+    kind = draw(st.sampled_from(["arbitrary", "chordal", "partial-ktree"]))
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    if kind == "arbitrary":
+        n = draw(st.integers(min_value=0, max_value=max_n))
+        p = draw(st.floats(min_value=0.0, max_value=1.0))
+        rng = random.Random(seed)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        return Graph(n, [e for e in pairs if rng.random() < p])
+    k = draw(st.integers(min_value=1, max_value=4))
+    if kind == "chordal":
+        return gen_chordal(draw(st.integers(min_value=1, max_value=max_n)), k, seed).graph
+    return gen_partial_ktree(draw(st.integers(min_value=k + 1, max_value=max_n)), k, seed).graph
+
+
+def outcome(f, *args):
+    """f's result, with an ordering's `perfect` flag beside it (ordering
+    equality ignores it), or the type and message of its RecolorError."""
+    try:
+        res = f(*args)
+    except RecolorError as e:
+        return type(e), str(e)
+    if isinstance(res, tuple):  # degeneracy: (d, ordering)
+        return res, res[1].perfect
+    if isinstance(res, EliminationOrdering):
+        return res, res.perfect
+    return res
+
+
+@given(graphs())
+@settings(max_examples=400, deadline=None)
+def test_orderings_match_reference(g):
+    assert outcome(mcs_peo, g) == outcome(ref.mcs_peo, g)
+    assert outcome(degeneracy, g) == outcome(ref.degeneracy, g)
+
+
+@given(graphs(), st.booleans(), st.data())
+@settings(max_examples=400, deadline=None)
+def test_colorings_match_reference(g, by_degeneracy, data):
+    if by_degeneracy:
+        _, ordering = degeneracy(g)
+    else:
+        ordering = EliminationOrdering.from_order(g, data.draw(st.permutations(range(g.n))))
+    d = ordering.max_back_degree
+    palette = data.draw(st.integers(min_value=1, max_value=d + 2))
+    seed = data.draw(st.integers(min_value=0, max_value=10_000))
+    assert outcome(greedy_color, g, ordering, palette) == outcome(
+        ref.greedy_color, g, ordering, palette
+    )
+    assert outcome(gen_random_coloring, g, ordering, palette, seed) == outcome(
+        ref.gen_random_coloring, g, ordering, palette, seed
+    )

@@ -268,6 +268,34 @@ class TestCli:
         assert stdout == ""
         assert err == f"error: ValueError: step 0 recolors vertex {bad}, outside 0..5\n"
 
+    @pytest.mark.parametrize(
+        "command, content",
+        [
+            ("pipeline", {"bags": [["0", "1", "2"]], "tree_edges": []}),
+            ("peo", {"n": 3, "adj": 5}),
+            ("peo", {"n": 3, "edges": [1, 2]}),
+            ("recolor", [[1], [2], [1]]),
+            ("analyze", {"palette": 5, "start": [1, 2, 3, 1, 2, 3], "steps": [1]}),
+        ],
+    )
+    def test_wrongly_typed_json_is_bad_input(self, tmp_path, capsys, command, content):
+        inst = tmp_path / "inst.json"
+        code, _, _ = self.run(capsys, "gen", "--n", "6", "--k", "2", "--out", str(inst))
+        assert code == 0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(content))
+        inst, bad, c = str(inst), str(bad), "[1, 2, 3, 1, 2, 3]"
+        argv = {
+            "pipeline": ["--graph", inst, "--td", bad, "--alpha", c, "--beta", c, "--t", "5"],
+            "peo": ["--graph", bad],
+            "recolor": ["--graph", inst, "--t", "5", "--alpha", bad, "--beta", c],
+            "analyze": ["--graph", inst, "--seq", bad],
+        }[command]
+        code, stdout, err = self.run(capsys, command, *argv)
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
+
     def test_oracle_distance_connected_diameter(self, tmp_path, capsys):
         g, a, b = self.write_p3(tmp_path)
         code, stdout, _ = self.run(

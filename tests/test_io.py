@@ -85,3 +85,21 @@ class TestOtherFormats:
         p.write_text("[2, 1, 0]")
         o = rio.read_ordering(p, g)
         assert o.order == (2, 1, 0)
+
+    @pytest.mark.parametrize(
+        "reader, obj",
+        [
+            (rio.graph_from_json, [3]),
+            (rio.graph_from_json, {"n": [3], "edges": []}),
+            (rio.graph_from_json, {"n": 3, "adj": [[1], 2, []]}),
+            (rio.graph_from_json, {"n": 3, "edges": [[0, 1, 2]]}),
+            (rio.decomposition_from_json, {"bags": 5, "tree_edges": []}),
+            (rio.decomposition_from_json, {"bags": [[0], [0]], "tree_edges": [0]}),
+            (rio.sequence_from_json, {"palette": None, "start": [1], "steps": []}),
+            (rio.sequence_from_json, {"palette": 3, "start": 1, "steps": []}),
+            (rio.sequence_from_json, {"palette": 3, "start": [1], "steps": [[0, {}]]}),
+        ],
+    )
+    def test_wrongly_typed_json_rejected(self, reader, obj):
+        with pytest.raises(InvalidParams):
+            reader(obj)
