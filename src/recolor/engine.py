@@ -10,11 +10,26 @@ sequence built for the earlier vertices, getting recolored out of the way
 just before an earlier neighbor would take its color.  The replacement
 color is picked by a three-rule selection that prefers the vertex's final
 color and otherwise postpones the next forced move as long as possible.
+
+The walk under construction is a doubly linked list of step nodes with
+integer order labels (`_Walk`); each vertex keeps its own nodes in walk
+order.  A vertex's restriction, the steps of its earlier neighbors, is a
+merge of their node lists by label, and each spliced step is linked in
+before its triggering node.  A closed label gap relabels the smallest
+sparse enough window around it, not the whole list.  Folding in all
+vertices costs O((n + L) log L) for the list, where L is the walk's
+length, plus O(|R| log d) to merge each restriction R and O(|R|) per
+color choice made against it: O((n + L) log L + sum of |R|) when
+back-degrees and choices per vertex are bounded.  The tuple of steps is
+built once, at the end.
 """
 
 from __future__ import annotations
 
+import heapq
+from collections import defaultdict
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -130,15 +145,117 @@ def select_best_choice(
     return max(vset, key=lambda c: first_occ[c])
 
 
+class _Node:
+    """One step of a `_Walk`: the recolored vertex, its new color, and the
+    integer label that orders it among the walk's steps."""
+
+    __slots__ = ("vertex", "color", "label", "prev", "next")
+
+    def __init__(self, vertex: int, color: int, label: int):
+        self.vertex = vertex
+        self.color = color
+        self.label = label
+
+
+_label = attrgetter("label")
+
+# A window of 2**i labels may be relabelled only while it holds at most
+# (2 / _DENSITY) ** i steps; 1 < _DENSITY < 2 trades label bits against
+# relabelling work.
+_DENSITY = 1.5
+# Label distance of a step appended at the end of a walk from its
+# predecessor: room for steps inserted before it later.
+_SPACING = 1 << 24
+
+
+class _Walk:
+    """A recoloring sequence under construction: step nodes in a doubly
+    linked list whose integer labels increase along it, so a step can be
+    linked in anywhere and two steps compared in walk order by label alone.
+
+    A step appended at the end gets its predecessor's label plus _SPACING,
+    and one inserted before a step the midpoint of the labels around it.
+    When no label is free there, the smallest aligned window of 2**i
+    labels around it holding at most (2 / _DENSITY) ** i steps is
+    relabelled evenly (Bender et al., ESA 2002, "Two simplified algorithms
+    for maintaining order in a list"), which they show costs O(log L)
+    amortized relabels per insertion.  `by_vertex[v]` lists v's own steps
+    in walk order, as long as v's steps are inserted in walk order.
+    """
+
+    def __init__(self, start: Coloring, palette_size: int, steps=()):
+        self.start = start
+        self.palette_size = palette_size
+        self.head = _Node(-1, 0, -1)  # below every step's label (all >= 0)
+        self.tail = _Node(-1, 0, -1)  # its label is never read
+        self.head.next = self.tail
+        self.tail.prev = self.head
+        self.by_vertex: defaultdict[int, list[_Node]] = defaultdict(list)
+        self.relabelled = 0  # nodes relabelled so far, for the cost bound
+        for v, c in steps:
+            self.insert_before(self.tail, v, c)
+
+    def __iter__(self):
+        node = self.head.next
+        while node is not self.tail:
+            yield node
+            node = node.next
+
+    def index(self, node: _Node) -> int:
+        return next(i for i, x in enumerate(self) if x is node)
+
+    def sequence(self) -> RecoloringSequence:
+        steps = tuple(RecoloringStep(x.vertex, x.color) for x in self)
+        return RecoloringSequence(steps, self.start, self.palette_size)
+
+    def insert_before(self, y: _Node, vertex: int, color: int) -> None:
+        x = y.prev
+        z = _Node(vertex, color, x.label + _SPACING)
+        z.prev, z.next = x, y
+        x.next = y.prev = z
+        if y is not self.tail:
+            if y.label - x.label >= 2:
+                z.label = (x.label + y.label) // 2
+            else:
+                # anchor the window at a real neighbour's label
+                z.label = y.label if x is self.head else x.label
+                self._relabel(z)
+        self.by_vertex[vertex].append(z)
+
+    def _relabel(self, z: _Node) -> None:
+        """Spread labels evenly over the smallest window around z's label
+        that is sparse enough; z shares its label with a neighbour."""
+        first = last = z
+        count = 1
+        i = 0
+        while True:
+            i += 1
+            size = 1 << i
+            base = z.label >> i << i
+            while first.prev is not self.head and first.prev.label >= base:
+                first = first.prev
+                count += 1
+            while last.next is not self.tail and last.next.label < base + size:
+                last = last.next
+                count += 1
+            if count <= (2 / _DENSITY) ** i:
+                break
+        self.relabelled += count
+        node = first
+        for j in range(count):
+            node.label = base + j * size // count
+            node = node.next
+
+
 def local_best_choice(
     g: Graph,
     u: int,
     nbrs: Iterable[int],
-    s: RecoloringSequence,
+    s: RecoloringSequence | _Walk,
     alpha_u: int,
     beta_u: int,
     stats: dict | None = None,
-) -> RecoloringSequence:
+) -> RecoloringSequence | _Walk:
     """Splice vertex u into a sequence that never touches u.
 
     `nbrs` are u's neighbors in the graph the base sequence lives on.
@@ -147,39 +264,41 @@ def local_best_choice(
     final step to beta_u is appended iff u does not already sit there.
 
     The base sequence's start is reused with u's entry set to alpha_u.
+    A RecoloringSequence is copied into a walk and the result returned as
+    a new sequence; `best_choice_sequence` passes its walk, which is
+    spliced in place and returned.
     """
     t = s.palette_size
     nbr_set = frozenset(nbrs)
     if not nbr_set <= g.adj[u]:
         raise ValueError(f"nbrs must be neighbors of {u}")
-    steps = s.steps
-    nbr_pos = [i for i, st in enumerate(steps) if st.vertex in nbr_set]
-    nbr_colors = [steps[i].new_color for i in nbr_pos]
+    walk = s if isinstance(s, _Walk) else _Walk(s.start, t, s.steps)
+    # listed before any insertion: a relabel would leave merge's cached keys stale
+    restriction = list(heapq.merge(*(walk.by_vertex[w] for w in nbr_set), key=_label))
+    nbr_colors = [node.color for node in restriction]
 
-    cur = {w: s.start[w] for w in nbr_set}
+    cur = {w: walk.start[w] for w in nbr_set}
     u_color = alpha_u
-    out: list[RecoloringStep] = []
-    prev = 0
+    inserted = 0
     palette = range(1, t + 1)
-    for j, i in enumerate(nbr_pos):
-        w, c = steps[i]
+    for j, node in enumerate(restriction):
+        w, c = node.vertex, node.color
         if c == u_color:
             taken = set(cur.values())
             taken.add(u_color)
             valid = [x for x in palette if x not in taken]
             if not valid:
-                raise EmptyValidSet(u, i)
+                raise EmptyValidSet(u, walk.index(node) - inserted)
             x = select_best_choice(beta_u, valid, nbr_colors[j:], stats)
-            out.extend(steps[prev:i])
-            out.append(RecoloringStep(u, x))
-            prev = i
+            walk.insert_before(node, u, x)
+            inserted += 1
             u_color = x
         cur[w] = c
-    out.extend(steps[prev:])
     if u_color != beta_u:
-        out.append(RecoloringStep(u, beta_u))
-    start = s.start if s.start[u] == alpha_u else s.start.with_color(u, alpha_u)
-    return RecoloringSequence(tuple(out), start, t)
+        walk.insert_before(walk.tail, u, beta_u)
+    if walk.start[u] != alpha_u:
+        walk.start = walk.start.with_color(u, alpha_u)
+    return walk if walk is s else walk.sequence()
 
 
 def best_choice_sequence(
@@ -202,11 +321,12 @@ def best_choice_sequence(
         raise ImproperInput("alpha is not proper")
     if not is_proper(g, beta):
         raise ImproperInput("beta is not proper")
-    s = RecoloringSequence((), alpha, alpha.palette_size)
+    walk = _Walk(alpha, alpha.palette_size)
     for v in ordering.order:
-        s = local_best_choice(
-            g, v, ordering.back_nbrs[v], s, alpha[v], beta[v], stats
+        local_best_choice(
+            g, v, ordering.back_nbrs[v], walk, alpha[v], beta[v], stats
         )
+    s = walk.sequence()
     end = apply_sequence(g, s)
     if end.colors != beta.colors:
         raise ImproperEndpoint("constructed sequence does not end at beta")

@@ -24,7 +24,10 @@ from .treewidth import TreeDecomposition
 
 def _int(x) -> int:
     """int(x), as ids and colors are read; InvalidParams when x is of a
-    type int() does not take (an array, an object, null)."""
+    type int() does not take (an array, an object, null) or would silently
+    truncate (a float, a boolean)."""
+    if isinstance(x, (bool, float)):
+        raise InvalidParams(f"expected an integer, got {x!r}")
     try:
         return int(x)
     except (TypeError, OverflowError):

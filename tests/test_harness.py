@@ -276,6 +276,8 @@ class TestCli:
             ("peo", {"n": 3, "edges": [1, 2]}),
             ("recolor", [[1], [2], [1]]),
             ("analyze", {"palette": 5, "start": [1, 2, 3, 1, 2, 3], "steps": [1]}),
+            ("peo", {"n": 3, "edges": [[0, 1.7], [True, 2]]}),
+            ("recolor", [1, 2, 3, 1, 2.0, 3]),
         ],
     )
     def test_wrongly_typed_json_is_bad_input(self, tmp_path, capsys, command, content):
@@ -295,6 +297,23 @@ class TestCli:
         assert code == 2
         assert stdout == ""
         assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
+
+    def test_recolor_empty_valid_set_reports_walk_position(self, tmp_path, capsys):
+        # t = d+1 on a partial 3-tree: vertex 2 is moved once, then runs out
+        # of colors at its second trigger, the third step of its restriction
+        # and the seventh of the walk built so far (its own step not counted)
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps({"n": 7, "edges": [
+            [0, 3], [0, 4], [0, 6], [1, 2], [1, 3], [1, 6], [2, 4], [4, 5]]}))
+        o = tmp_path / "o.json"
+        o.write_text("[6, 1, 3, 0, 4, 2, 5]")
+        code, stdout, err = self.run(
+            capsys, "recolor", "--graph", str(g), "--t", "3", "--ord", str(o),
+            "--alpha", "[2, 2, 3, 1, 1, 3, 3]", "--beta", "[3, 1, 2, 2, 1, 2, 2]",
+        )
+        assert code == 2
+        assert stdout == ""
+        assert err == "error: EmptyValidSet: no valid color for vertex 2 at step 6\n"
 
     def test_oracle_distance_connected_diameter(self, tmp_path, capsys):
         g, a, b = self.write_p3(tmp_path)

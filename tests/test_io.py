@@ -98,6 +98,12 @@ class TestOtherFormats:
             (rio.sequence_from_json, {"palette": None, "start": [1], "steps": []}),
             (rio.sequence_from_json, {"palette": 3, "start": 1, "steps": []}),
             (rio.sequence_from_json, {"palette": 3, "start": [1], "steps": [[0, {}]]}),
+            (rio.sequence_from_json, {"palette": 3, "start": [1, 2.0], "steps": []}),
+            (rio.sequence_from_json, {"palette": True, "start": [1], "steps": []}),
+            (rio.graph_from_json, {"n": 3, "edges": [[0, 1.7], [1, 2]]}),
+            (rio.graph_from_json, {"n": 3, "edges": [[0, 1], [True, 2]]}),
+            (rio.graph_from_json, {"n": 3.0, "adj": [[1], [0], []]}),
+            (rio.graph_from_json, {"n": 3, "adj": [[1], [0, False], []]}),
         ],
     )
     def test_wrongly_typed_json_rejected(self, reader, obj):
