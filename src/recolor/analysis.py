@@ -331,24 +331,17 @@ def _rotating(hist: Sequence[int]) -> list[int]:
 
 
 def naughty_recolorings(
-    s: RecoloringSequence,
-    g: Graph,
-    alpha: Coloring | None,
-    clique_x: Iterable[int],
-    d: int | None = None,
-    w1: int | None = None,
-    w2: int | None = None,
+    s: RecoloringSequence, g: Graph, clique_x: Iterable[int], d: int | None = None
 ) -> list[int]:
     """Positions, inside the restriction to a (d-1)-clique X, of steps that
     are both color-avoiding and causation-free:
 
       1. at least three palette colors appear neither among X's colors
-         just before the step nor among the next w1 steps' new colors;
-      2. none of the following w2 steps is forced by its successor
+         just before the step nor among the next 3d+4 steps' new colors;
+      2. none of the following 3d-4 steps is forced by its successor
          (successor's new color equals that step's vertex's old color).
 
-    Windows default to w1 = 3d+4 and w2 = 3d-4 and are clamped at the
-    tail.  X's colors are replayed from `alpha` (default: s.start).
+    Windows are clamped at the tail.  X's colors are replayed from s.start.
     """
     xs = sorted(set(clique_x))
     for i in range(len(xs)):
@@ -359,16 +352,13 @@ def naughty_recolorings(
         d = len(xs) + 1
     elif len(xs) != d - 1:
         raise WrongSize(f"expected a clique of size {d - 1}, got {len(xs)}")
-    if w1 is None:
-        w1 = 3 * d + 4
-    if w2 is None:
-        w2 = 3 * d - 4
-    base = alpha if alpha is not None else s.start
+    w1 = 3 * d + 4
+    w2 = 3 * d - 4
     t = s.palette_size
     keep = set(xs)
     rsteps = [st for st in s.steps if st.vertex in keep]
     m = len(rsteps)
-    cur = {x: base[x] for x in xs}
+    cur = {x: s.start[x] for x in xs}
     pre_colors: list[frozenset[int]] = []
     pre_own: list[int] = []
     for w, c in rsteps:
@@ -455,7 +445,8 @@ def analyze_sequence(
     tight_total = 0
     saved_total = 0
     rotating_total = 0
-    for v, (rsteps, pos) in _restrictions(s, ordering, range(g.n)).items():
+    restrictions = _restrictions(s, ordering, range(g.n))
+    for v, (rsteps, pos) in restrictions.items():
         back = ordering.back_nbrs[v]
         d = len(back)
         tight_total += len(_tight(pos, d))
@@ -485,9 +476,14 @@ def analyze_sequence(
         "rotating": rotating_total,
     }
     if naughty_cliques is not None:
-        naughty_counts = [
-            len(naughty_recolorings(s, g, None, x)) for x in naughty_cliques
-        ]
+        naughty_counts = []
+        for x in map(tuple, naughty_cliques):
+            # The other members of a clique X are earlier neighbors of its
+            # latest member, whose restriction therefore holds X's steps.
+            latest = max(x, key=ordering.rank.__getitem__, default=None)
+            rsteps = restrictions[latest][0] if x else []
+            rx = RecoloringSequence(tuple(rsteps), s.start, t)
+            naughty_counts.append(len(naughty_recolorings(rx, g, x)))
         stats["naughty_max"] = max(naughty_counts, default=0)
         stats["naughty_cliques"] = len(naughty_counts)
     return AnalysisReport(

@@ -19,12 +19,12 @@ import io as _stdio
 import json
 import re
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 from .analysis import analyze_sequence
 from .bounds import per_vertex_bound
-from .engine import apply_sequence, best_choice_sequence
+from .engine import best_choice_sequence
 from .errors import InvalidParams
 from .generators import FAMILIES, gen_instance, gen_random_coloring
 from .graphs import EliminationOrdering, Graph
@@ -83,37 +83,22 @@ class ExperimentRow:
     k: int
     d: int
     t: int
-    length: int
-    max_count: int
-    violations: int
-    tight: int
-    saved: int
-    rotating: int
-    naughty_max: int | None
-    rule1_blocked: int
-    oracle_distance: int | None
+    length: int = 0
+    max_count: int = 0
+    violations: int = 0
+    tight: int = 0
+    saved: int = 0
+    rotating: int = 0
+    naughty_max: int | None = None
+    rule1_blocked: int = 0
+    oracle_distance: int | None = None
     error: str = ""
     wall_time_s: float = 0.0
 
 
 ROW_FIELDS = [
     "schema_version",
-    "trial",
-    "family",
-    "n",
-    "k",
-    "d",
-    "t",
-    "length",
-    "max_count",
-    "violations",
-    "tight",
-    "saved",
-    "rotating",
-    "naughty_max",
-    "rule1_blocked",
-    "oracle_distance",
-    "error",
+    *(f.name for f in fields(ExperimentRow) if f.name != "wall_time_s"),
 ]
 
 
@@ -125,54 +110,34 @@ def run_trial(cfg: ExperimentConfig, trial: int, trial_seed: int) -> ExperimentR
     alpha = gen_random_coloring(g, ordering, t, trial_seed * 2 + 1)
     beta = gen_random_coloring(g, ordering, t, trial_seed * 2 + 2)
     stats: dict = {}
-    error = ""
-    length = max_count = violations = tight = saved = rotating = 0
-    naughty_max = None
-    dist = None
+    row = ExperimentRow(trial, cfg.family, n, cfg.k, d, t)
     try:
+        # best_choice_sequence replays the walk and checks that it ends at beta
         s = best_choice_sequence(g, ordering, alpha, beta, stats)
-        apply_sequence(g, s)
         cliques = None
         if cfg.naughty and d >= 2:
             cliques = _sample_cliques(g, ordering, d)
         report = analyze_sequence(
             g, ordering, s, causation=cfg.causation, naughty_cliques=cliques
         )
-        length = report.length
-        max_count = report.max_count
-        violations = len(report.violations)
-        tight = report.stats["tight"]
-        saved = report.stats["saved"]
-        rotating = report.stats["rotating"]
-        naughty_max = report.stats.get("naughty_max")
+        row.length = report.length
+        row.max_count = report.max_count
+        row.violations = len(report.violations)
+        row.tight = report.stats["tight"]
+        row.saved = report.stats["saved"]
+        row.rotating = report.stats["rotating"]
+        row.naughty_max = report.stats.get("naughty_max")
         if cfg.oracle_cross_check:
-            dist = rt_distance(g, t, alpha, beta, cfg.state_cap)
-            if dist is None or length < dist:
-                violations += 1
-                error = f"length {length} below shortest distance {dist}"
+            row.oracle_distance = dist = rt_distance(g, t, alpha, beta, cfg.state_cap)
+            if dist is None or row.length < dist:
+                row.violations += 1
+                row.error = f"length {row.length} below shortest distance {dist}"
     except Exception as e:  # recorded, not raised: one bad trial should not sink a batch
-        error = f"{type(e).__name__}: {e}"
-        violations += 1
-    wall = time.monotonic() - start
-    return ExperimentRow(
-        trial=trial,
-        family=cfg.family,
-        n=n,
-        k=cfg.k,
-        d=d,
-        t=t,
-        length=length,
-        max_count=max_count,
-        violations=violations,
-        tight=tight,
-        saved=saved,
-        rotating=rotating,
-        naughty_max=naughty_max,
-        rule1_blocked=stats.get("rule1_blocked", 0),
-        oracle_distance=dist,
-        error=error,
-        wall_time_s=wall,
-    )
+        row.error = f"{type(e).__name__}: {e}"
+        row.violations += 1
+    row.rule1_blocked = stats.get("rule1_blocked", 0)
+    row.wall_time_s = time.monotonic() - start
+    return row
 
 
 def _sample_cliques(

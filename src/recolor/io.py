@@ -57,6 +57,15 @@ def _pairs(obj, what: str) -> list[tuple[int, int]]:
     return [(a, b) for a, b in pairs]
 
 
+def _load(text: str, key: str | None = None):
+    """Parse JSON text; a JSON object holding `key` (a bundle written by
+    `recolor gen`) stands for its value under that key."""
+    obj = json.loads(text)
+    if key is not None and isinstance(obj, dict) and key in obj:
+        return obj[key]
+    return obj
+
+
 def graph_to_text(g: Graph) -> str:
     lines = [f"{g.n} {g.m}"]
     lines.extend(f"{u} {v}" for u, v in g.edges())
@@ -94,10 +103,7 @@ def graph_from_json(obj: dict) -> Graph:
 def read_graph(path: str | Path) -> Graph:
     text = Path(path).read_text()
     if text.lstrip().startswith("{"):
-        obj = json.loads(text)
-        if "graph" in obj:
-            obj = obj["graph"]
-        return graph_from_json(obj)
+        return graph_from_json(_load(text, "graph"))
     return graph_from_text(text)
 
 
@@ -106,7 +112,7 @@ def coloring_to_json(c: Coloring) -> list[int]:
 
 
 def read_coloring(path: str | Path, palette: int) -> Coloring:
-    obj = json.loads(Path(path).read_text())
+    obj = _load(Path(path).read_text())
     return Coloring(_ints(obj, "a coloring file"), palette)
 
 
@@ -128,10 +134,7 @@ def decomposition_from_json(obj: dict) -> TreeDecomposition:
 
 
 def read_decomposition(path: str | Path) -> TreeDecomposition:
-    obj = json.loads(Path(path).read_text())
-    if "decomposition" in obj:
-        obj = obj["decomposition"]
-    return decomposition_from_json(obj)
+    return decomposition_from_json(_load(Path(path).read_text(), "decomposition"))
 
 
 def ordering_to_json(ordering: EliminationOrdering) -> dict:
@@ -139,13 +142,8 @@ def ordering_to_json(ordering: EliminationOrdering) -> dict:
 
 
 def read_ordering(path: str | Path, g: Graph) -> EliminationOrdering:
-    obj = json.loads(Path(path).read_text())
-    if isinstance(obj, dict):
-        if "ordering" in obj:
-            obj = obj["ordering"]
-        order = obj["order"] if isinstance(obj, dict) else obj
-    else:
-        order = obj
+    obj = _load(Path(path).read_text(), "ordering")
+    order = obj["order"] if isinstance(obj, dict) else obj
     return EliminationOrdering.from_order(g, _ints(order, "an ordering"))
 
 
@@ -165,7 +163,7 @@ def sequence_from_json(obj: dict) -> RecoloringSequence:
 
 
 def read_sequence(path: str | Path) -> RecoloringSequence:
-    return sequence_from_json(json.loads(Path(path).read_text()))
+    return sequence_from_json(_load(Path(path).read_text()))
 
 
 def write_sequence(path: str | Path, s: RecoloringSequence) -> None:

@@ -184,11 +184,9 @@ def merge_by_coloring(g: Graph, td: TreeDecomposition, alpha: Coloring) -> Merge
         fibers[pi[v]].add(v)
     mm = MergeMap(pi, tuple(frozenset(f) for f in fibers))
 
+    # Validation put every edge of g in a bag, so the bag cliques below
+    # already hold the projection of every edge.
     edges = set()
-    for u, v in g.edges():
-        pu, pv = pi[u], pi[v]
-        if pu != pv:
-            edges.add((min(pu, pv), max(pu, pv)))
     new_bags = []
     for b in td.bags:
         q = sorted({pi[v] for v in b})

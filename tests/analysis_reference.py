@@ -282,9 +282,7 @@ def analyze_sequence(
         "rotating": rotating_total,
     }
     if naughty_cliques is not None:
-        naughty_counts = [
-            len(naughty_recolorings(s, g, None, x)) for x in naughty_cliques
-        ]
+        naughty_counts = [len(naughty_recolorings(s, g, x)) for x in naughty_cliques]
         stats["naughty_max"] = max(naughty_counts, default=0)
         stats["naughty_cliques"] = len(naughty_counts)
     return AnalysisReport(

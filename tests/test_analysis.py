@@ -191,28 +191,28 @@ class TestNaughty:
 
     def test_sparse_restriction_is_naughty(self):
         s = seq([(2, 5), (0, 3), (2, 6), (1, 4)], (1, 2, 7), 7)
-        assert naughty_recolorings(s, self.G, None, [0, 1], d=3) == [0, 1]
+        assert naughty_recolorings(s, self.G, [0, 1], d=3) == [0, 1]
 
     def test_forced_follower_disqualifies(self):
         s = seq([(2, 5), (0, 3), (2, 6), (1, 4), (0, 2)], (1, 2, 7), 7)
-        assert naughty_recolorings(s, self.G, None, [0, 1], d=3) == [1, 2]
+        assert naughty_recolorings(s, self.G, [0, 1], d=3) == [1, 2]
 
     def test_crowded_window_disqualifies(self):
         steps = [(0, 3), (1, 4), (0, 5), (1, 6), (0, 7), (1, 3), (0, 4)]
         s = seq(steps, (1, 2, 7), 7)
-        out = naughty_recolorings(s, self.G, None, [0, 1], d=3)
+        out = naughty_recolorings(s, self.G, [0, 1], d=3)
         assert 0 not in out and 1 not in out
         assert out == [2, 3, 4, 5, 6]
 
     def test_non_clique_rejected(self):
         s = seq([(0, 3)], (1, 2, 7), 7)
         with pytest.raises(NotAClique):
-            naughty_recolorings(s, self.G, None, [0, 2], d=3)
+            naughty_recolorings(s, self.G, [0, 2], d=3)
 
     def test_size_mismatch_rejected(self):
         s = seq([(0, 3)], (1, 2, 7), 7)
         with pytest.raises(WrongSize):
-            naughty_recolorings(s, self.G, None, [0, 1], d=4)
+            naughty_recolorings(s, self.G, [0, 1], d=4)
 
 
 class TestBounds:

@@ -3,6 +3,8 @@ per-vertex rebuilding reference versions kept in `analysis_reference`."""
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +13,7 @@ from recolor import (
     EliminationOrdering,
     RecoloringSequence,
     RecoloringStep,
+    RecolorError,
     analyze_sequence,
     best_choice_sequence,
     check_causation,
@@ -65,20 +68,46 @@ def walks(draw, max_n=12, max_steps=40):
     return g, ordering, s
 
 
+@st.composite
+def clique_lists(draw, g, ordering):
+    """None, or cliques to scan as `recolor bench --naughty` samples them:
+    the (d-1)-subsets of back-neighbourhoods that are cliques, d being the
+    max back-degree; sometimes with a non-clique pair or the empty tuple
+    among them."""
+    if draw(st.integers(min_value=0, max_value=4)) == 0:
+        return None
+    size = max(ordering.max_back_degree - 1, 0)
+    cliques = sorted({
+        c
+        for b in ordering.back_nbrs
+        for c in combinations(b, size)
+        if all(y in g.adj[x] for x, y in combinations(c, 2))
+    })
+    out = draw(st.lists(st.sampled_from(cliques), max_size=6)) if cliques else []
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        pairs = [(u, v) for u, v in combinations(range(g.n), 2) if v not in g.adj[u]]
+        odd = draw(st.sampled_from([(), *pairs]))
+        out.insert(draw(st.integers(min_value=0, max_value=len(out))), odd)
+    return out
+
+
 def outcome(check, *args):
     try:
         return check(*args)
-    except ValueError as e:
+    except (ValueError, RecolorError) as e:
         return type(e), str(e)
 
 
-@given(walks(), st.booleans())
+@given(walks(), st.booleans(), st.data())
 @settings(max_examples=400, deadline=None)
-def test_report_matches_reference(case, causation):
+def test_report_matches_reference(case, causation, data):
     g, ordering, s = case
-    got = analyze_sequence(g, ordering, s, causation=causation)
-    want = ref.analyze_sequence(g, ordering, s, causation=causation)
-    assert got.to_json_dict() == want.to_json_dict()
+    cliques = data.draw(clique_lists(g, ordering))
+
+    def report(analyze):
+        return analyze(g, ordering, s, causation, cliques).to_json_dict()
+
+    assert outcome(report, analyze_sequence) == outcome(report, ref.analyze_sequence)
 
 
 @given(walks())

@@ -4,7 +4,7 @@
 binding and fails on a missing span or an unwrapped binding, so a library
 change that renames, inlines or stops calling a traced function breaks
 the benchmark's per-layer metrics.  The perfbench suite itself is not part
-of these tests; this runs the two traced workloads that go through walk
+of these tests; this runs the three traced workloads that go through walk
 construction, on tiny inputs."""
 
 from __future__ import annotations
@@ -18,7 +18,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["chordal-solve", "treewidth-pipeline"])
+@pytest.mark.parametrize(
+    "workload", ["chordal-solve", "treewidth-pipeline", "degenerate-sweep"]
+)
 def test_traced_run_finds_every_span(workload):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,

@@ -278,6 +278,10 @@ class TestCli:
             ("analyze", {"palette": 5, "start": [1, 2, 3, 1, 2, 3], "steps": [1]}),
             ("peo", {"n": 3, "edges": [[0, 1.7], [True, 2]]}),
             ("recolor", [1, 2, 3, 1, 2.0, 3]),
+            ("pipeline", 5),
+            ("pipeline", None),
+            ("pipeline", True),
+            ("pipeline", "decomposition"),
         ],
     )
     def test_wrongly_typed_json_is_bad_input(self, tmp_path, capsys, command, content):
