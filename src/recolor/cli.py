@@ -39,14 +39,7 @@ OK, VIOLATION, INPUT_ERROR, CAP_EXCEEDED = 0, 1, 2, 3
 
 
 def _emit(obj, out: str | None) -> None:
-    text = json.dumps(obj, indent=1) + "\n"
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_text(text: str, out: str | None) -> None:
+    text = obj if isinstance(obj, str) else json.dumps(obj, indent=1) + "\n"
     if out:
         Path(out).write_text(text)
     else:
@@ -63,7 +56,7 @@ def _cmd_gen(args) -> int:
         bundle["decomposition"] = rio.decomposition_to_json(td)
     bundle["ordering"] = rio.ordering_to_json(ordering)
     if args.format == "text":
-        _emit_text(rio.graph_to_text(g), args.out)
+        _emit(rio.graph_to_text(g), args.out)
     else:
         _emit(bundle, args.out)
     return OK
@@ -95,10 +88,8 @@ def _ordering_for(g, path):
 
 def _coloring_arg(value: str, palette: int):
     """Accept a coloring either inline ("[1,2,1]") or as a file path."""
-    from .graphs import Coloring
-
     if value.lstrip().startswith("["):
-        return Coloring(rio._ints(json.loads(value), "a coloring"), palette)
+        return rio.coloring_from_json(json.loads(value), palette)
     return rio.read_coloring(value, palette)
 
 
@@ -135,7 +126,7 @@ def _cmd_analyze(args) -> int:
     if args.format == "csv":
         lines = ["vertex,count"]
         lines += [f"{v},{c}" for v, c in sorted(report.per_vertex.items())]
-        _emit_text("\n".join(lines) + "\n", args.out)
+        _emit("\n".join(lines) + "\n", args.out)
     else:
         _emit(report.to_json_dict(), args.out)
     return OK if report.passed else VIOLATION
@@ -169,14 +160,9 @@ def _cmd_oracle(args) -> int:
             {"connected": rt_connected(g, t, cap), "num_colorings": count}, args.out
         )
         return OK
-    if args.query == "diameter":
-        diam = rt_diameter(g, t, cap)
-        _emit(
-            {"diameter": "infinite" if math.isinf(diam) else diam},
-            args.out,
-        )
-        return OK
-    raise InvalidParams(f"unknown oracle query {args.query!r}")
+    diam = rt_diameter(g, t, cap)
+    _emit({"diameter": "infinite" if math.isinf(diam) else diam}, args.out)
+    return OK
 
 
 def _cmd_pipeline(args) -> int:
@@ -205,12 +191,10 @@ def _cmd_bench(args) -> int:
         state_cap=args.state_cap,
     )
     rows, summary = run_experiment(cfg)
-    if args.format == "csv":
-        _emit_text(rows_to_csv(rows, timings=args.timings), args.out)
-    else:
-        _emit_text(rows_to_json(rows, timings=args.timings), args.out)
+    to_text = rows_to_csv if args.format == "csv" else rows_to_json
+    _emit(to_text(rows, timings=args.timings), args.out)
     if args.summary_out:
-        Path(args.summary_out).write_text(json.dumps(summary, indent=1) + "\n")
+        _emit(summary, args.summary_out)
     else:
         sys.stderr.write(json.dumps(summary, indent=1) + "\n")
     return OK if summary["violations"] == 0 else VIOLATION
@@ -223,13 +207,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, graph=True, t=False, cap=False):
+    def common(sp, graph=True, t=False, cap=False, formats=(), colorings=False):
         if graph:
             sp.add_argument("--graph", required=True, help="graph file (text or JSON)")
         if t:
             sp.add_argument("--t", type=int, required=True, help="palette size")
+        if colorings:
+            sp.add_argument("--alpha", required=True, help="start coloring (JSON array or file)")
+            sp.add_argument("--beta", required=True, help="target coloring (JSON array or file)")
         sp.add_argument("--out", help="output file (default stdout)")
-        sp.add_argument("--format", choices=["json", "csv", "text"], default="json")
+        if formats:
+            sp.add_argument("--format", choices=formats, default=formats[0])
         if cap:
             sp.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP)
 
@@ -238,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--k", type=int, default=2)
     sp.add_argument("--seed", type=int, default=0)
-    common(sp, graph=False)
+    common(sp, graph=False, formats=("json", "text"))
     sp.set_defaults(func=_cmd_gen)
 
     sp = sub.add_parser("peo", help="perfect elimination ordering of a chordal graph")
@@ -246,14 +234,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_peo)
 
     sp = sub.add_parser("recolor", help="build a recoloring sequence alpha -> beta")
-    common(sp, t=True)
-    sp.add_argument("--alpha", required=True, help="start coloring (JSON array or file)")
-    sp.add_argument("--beta", required=True, help="target coloring (JSON array or file)")
+    common(sp, t=True, colorings=True)
     sp.add_argument("--ord", help="ordering JSON; default: elimination ordering")
     sp.set_defaults(func=_cmd_recolor)
 
     sp = sub.add_parser("analyze", help="validate and analyze a stored sequence")
-    common(sp)
+    common(sp, formats=("json", "csv"))
     sp.add_argument("--seq", required=True, help="sequence JSON")
     sp.add_argument("--ord", help="ordering JSON; default: elimination ordering")
     sp.set_defaults(func=_cmd_analyze)
@@ -266,10 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_oracle)
 
     sp = sub.add_parser("pipeline", help="alpha -> beta plan through merge quotients")
-    common(sp, t=True, cap=True)
+    common(sp, t=True, cap=True, colorings=True)
     sp.add_argument("--td", required=True, help="tree decomposition JSON")
-    sp.add_argument("--alpha", required=True, help="start coloring (JSON array or file)")
-    sp.add_argument("--beta", required=True, help="target coloring (JSON array or file)")
     sp.add_argument("--bridge", choices=["oracle", "none"], default="oracle")
     sp.set_defaults(func=_cmd_pipeline)
 
@@ -284,9 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--oracle-cross-check", action="store_true")
     sp.add_argument("--timings", action="store_true", help="include wall times")
     sp.add_argument("--summary-out", help="summary JSON file (default stderr)")
-    sp.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP)
-    sp.add_argument("--out", help="output file (default stdout)")
-    sp.add_argument("--format", choices=["json", "csv"], default="csv")
+    common(sp, graph=False, cap=True, formats=("csv", "json"))
     sp.set_defaults(func=_cmd_bench)
 
     return p

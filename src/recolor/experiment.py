@@ -28,7 +28,7 @@ from .engine import best_choice_sequence
 from .errors import InvalidParams
 from .generators import FAMILIES, gen_instance, gen_random_coloring
 from .graphs import EliminationOrdering, Graph
-from .oracle import rt_distance
+from .oracle import DEFAULT_STATE_CAP, rt_distance
 
 SCHEMA_VERSION = 1
 
@@ -59,7 +59,7 @@ class ExperimentConfig:
     causation: bool = True
     naughty: bool = False
     oracle_cross_check: bool = False
-    state_cap: int = 2_000_000
+    state_cap: int = DEFAULT_STATE_CAP
 
     def validate(self) -> None:
         if self.family not in FAMILIES:

@@ -92,6 +92,8 @@ def graph_from_json(obj: dict) -> Graph:
     n = _int(_object(obj, "graph JSON")["n"])
     if "adj" in obj:
         adj = [_ints(nbrs, "each of 'adj'") for nbrs in _array(obj["adj"], "'adj'")]
+        if len(adj) != n:
+            raise InvalidParams(f"'adj' holds {len(adj)} lists, expected n = {n}")
         edges = [(u, v) for u, nbrs in enumerate(adj) for v in nbrs]
     elif "edges" in obj:
         edges = _pairs(obj["edges"], "'edges'")
@@ -111,9 +113,12 @@ def coloring_to_json(c: Coloring) -> list[int]:
     return list(c.colors)
 
 
-def read_coloring(path: str | Path, palette: int) -> Coloring:
-    obj = _load(Path(path).read_text())
+def coloring_from_json(obj: list, palette: int) -> Coloring:
     return Coloring(_ints(obj, "a coloring file"), palette)
+
+
+def read_coloring(path: str | Path, palette: int) -> Coloring:
+    return coloring_from_json(_load(Path(path).read_text()), palette)
 
 
 def write_coloring(path: str | Path, c: Coloring) -> None:

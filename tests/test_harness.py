@@ -9,8 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recolor import (
+    Coloring,
     ExperimentConfig,
+    Graph,
     InvalidParams,
+    best_choice_sequence,
     certify_perfect,
     degeneracy,
     gen_chordal,
@@ -26,6 +29,7 @@ from recolor import (
     run_experiment,
     validate_decomposition,
 )
+from recolor import io as rio
 from recolor.cli import main
 
 
@@ -239,6 +243,34 @@ class TestCli:
         assert code == 0
         report = json.loads(stdout)
         assert report["passed"] is True and report["max_count"] == 2
+        code, stdout, _ = self.run(
+            capsys, "analyze", "--graph", g, "--seq", str(seq_file), "--format", "csv"
+        )
+        assert code == 0
+        assert stdout == "vertex,count\n0,1\n1,2\n2,1\n"
+
+    def test_gen_text_format_writes_edge_list(self, tmp_path, capsys):
+        out = tmp_path / "g.txt"
+        code, stdout, _ = self.run(
+            capsys, "gen", "--n", "8", "--seed", "4", "--format", "text", "--out", str(out)
+        )
+        assert code == 0 and stdout == ""
+        g = gen_instance("ktree", 8, 2, 4)[0]
+        assert out.read_text() == rio.graph_to_text(g)
+
+    def test_recolor_non_chordal_uses_degeneracy_ordering(self, tmp_path, capsys):
+        g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+        f = tmp_path / "c4.json"
+        f.write_text(json.dumps(rio.graph_to_json(g)))
+        code, stdout, _ = self.run(
+            capsys, "recolor", "--graph", str(f), "--t", "4",
+            "--alpha", "[1, 2, 1, 2]", "--beta", "[2, 1, 2, 1]",
+        )
+        assert code == 0
+        s = best_choice_sequence(
+            g, degeneracy(g)[1], Coloring((1, 2, 1, 2), 4), Coloring((2, 1, 2, 1), 4)
+        )
+        assert json.loads(stdout)["steps"] == rio.sequence_to_json(s)["steps"]
 
     def test_analyze_rejects_invalid_sequence(self, tmp_path, capsys):
         g, a, b = self.write_p3(tmp_path)
@@ -282,6 +314,7 @@ class TestCli:
             ("pipeline", None),
             ("pipeline", True),
             ("pipeline", "decomposition"),
+            ("peo", {"n": 5, "adj": [[1], [0]]}),
         ],
     )
     def test_wrongly_typed_json_is_bad_input(self, tmp_path, capsys, command, content):
@@ -342,6 +375,22 @@ class TestCli:
         )
         assert code == 0
         assert json.loads(stdout)["diameter"] == "infinite"
+        # Every 3-coloring of K3 is frozen, so no two of them are connected.
+        code, stdout, _ = self.run(
+            capsys, "oracle", "distance", "--graph", str(g), "--t", "3",
+            "--from", "[1, 2, 3]", "--to", "[2, 3, 1]",
+        )
+        assert code == 0
+        assert json.loads(stdout) == {"distance": None, "reachable": False}
+
+    def test_oracle_distance_needs_both_endpoints(self, tmp_path, capsys):
+        g, a, _ = self.write_p3(tmp_path)
+        code, stdout, err = self.run(
+            capsys, "oracle", "distance", "--graph", g, "--t", "3", "--from", a
+        )
+        assert code == 2
+        assert stdout == ""
+        assert err == "error: InvalidParams: distance needs --from and --to\n"
 
     def test_oracle_cap_exit_code(self, tmp_path, capsys):
         g = tmp_path / "g.json"
@@ -395,6 +444,47 @@ class TestCli:
         assert lines[0].startswith("schema_version,trial,family")
         summary = json.loads(summary_file.read_text())
         assert summary["violations"] == 0
+
+    def test_bench_json_summary_to_stderr(self, capsys):
+        code, stdout, err = self.run(
+            capsys, "bench", "--n-list", "6", "--trials", "2", "--format", "json"
+        )
+        assert code == 0
+        rows = json.loads(stdout)
+        assert len(rows) == 2 and rows[0]["n"] == 6
+        summary = json.loads(err)
+        assert summary["violations"] == 0
+
+    @pytest.mark.parametrize(
+        "command, value",
+        [
+            ("peo", "json"),
+            ("recolor", "json"),
+            ("oracle", "json"),
+            ("pipeline", "json"),
+            ("gen", "csv"),
+            ("analyze", "text"),
+        ],
+    )
+    def test_unread_format_value_rejected(self, tmp_path, capsys, command, value):
+        inst = tmp_path / "inst.json"
+        code, _, _ = self.run(capsys, "gen", "--n", "6", "--k", "2", "--out", str(inst))
+        assert code == 0
+        inst, c = str(inst), "[1, 2, 3, 1, 2, 3]"
+        seq = tmp_path / "s.json"
+        seq.write_text(json.dumps({"palette": 5, "start": [1, 2, 3, 1, 2, 3], "steps": []}))
+        argv = {
+            "peo": ["--graph", inst],
+            "recolor": ["--graph", inst, "--t", "5", "--alpha", c, "--beta", c],
+            "oracle": ["connected", "--graph", inst, "--t", "3"],
+            "pipeline": ["--graph", inst, "--td", inst, "--alpha", c, "--beta", c, "--t", "5"],
+            "gen": ["--n", "6"],
+            "analyze": ["--graph", inst, "--seq", str(seq)],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *argv, "--format", value])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_bad_input_exit_code(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.json")

@@ -104,6 +104,7 @@ class TestOtherFormats:
             (rio.graph_from_json, {"n": 3, "edges": [[0, 1], [True, 2]]}),
             (rio.graph_from_json, {"n": 3.0, "adj": [[1], [0], []]}),
             (rio.graph_from_json, {"n": 3, "adj": [[1], [0, False], []]}),
+            (rio.graph_from_json, {"n": 5, "adj": [[1], [0]]}),
         ],
     )
     def test_wrongly_typed_json_rejected(self, reader, obj):
