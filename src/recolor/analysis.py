@@ -40,7 +40,7 @@ def restrict(s: RecoloringSequence, x: Iterable[int]) -> RecoloringSequence:
     """
     keep = set(x)
     steps = tuple(st for st in s.steps if st.vertex in keep)
-    return RecoloringSequence(steps, s.start, s.palette_size)
+    return RecoloringSequence(steps, s.start)
 
 
 def count_pattern(s: RecoloringSequence, pattern: Sequence[int]) -> int:
@@ -117,7 +117,7 @@ def _tight(pos: Sequence[int], d: int) -> list[int]:
 
 
 def tight_recolorings(
-    s: RecoloringSequence, g: Graph, ordering: EliminationOrdering, v: int
+    s: RecoloringSequence, ordering: EliminationOrdering, v: int
 ) -> list[int]:
     """Positions (inside the restriction to earlier neighbors plus v) of
     recolorings of v followed by the next one after exactly d other steps,
@@ -138,7 +138,7 @@ def _saved(rsteps: Sequence[RecoloringStep], pos: Sequence[int], d: int) -> list
 
 
 def saved_steps(
-    s: RecoloringSequence, g: Graph, ordering: EliminationOrdering, v: int
+    s: RecoloringSequence, ordering: EliminationOrdering, v: int
 ) -> tuple[list[int], int]:
     """Steps of v's earlier neighbors that cannot be charged a recoloring
     of v: v untouched up to them, or untouched from them on, or untouched
@@ -173,7 +173,7 @@ def _save_inequality(
 
 
 def check_save_inequality(
-    s: RecoloringSequence, g: Graph, ordering: EliminationOrdering, v: int
+    s: RecoloringSequence, ordering: EliminationOrdering, v: int
 ) -> SaveInequalityResult:
     """Budget check: v is recolored at most 1 + ceil((kappa - r) / d) times,
     where kappa counts its earlier neighbors' recolorings and r the saved
@@ -214,7 +214,7 @@ def _revisit_spacing(pos: Sequence[int], v: int, d: int) -> list[Violation]:
 
 
 def check_revisit_spacing(
-    s: RecoloringSequence, g: Graph, ordering: EliminationOrdering
+    s: RecoloringSequence, ordering: EliminationOrdering
 ) -> list[Violation]:
     """No vertex is ever recolored twice in a row within its restriction,
     and a revisit after fewer than d intervening steps may only happen at
@@ -224,7 +224,7 @@ def check_revisit_spacing(
     least 2d+1 colors for the vertex's back-degree d; below that the
     flagged patterns can legitimately occur."""
     out = []
-    for v, (_, pos) in _restrictions(s, ordering, range(g.n)).items():
+    for v, (_, pos) in _restrictions(s, ordering, range(len(ordering.rank))).items():
         out.extend(_revisit_spacing(pos, v, len(ordering.back_nbrs[v])))
     return out
 
@@ -248,12 +248,12 @@ def _causation(
 
 
 def check_causation(
-    s: RecoloringSequence, g: Graph, ordering: EliminationOrdering
+    s: RecoloringSequence, ordering: EliminationOrdering
 ) -> list[Violation]:
     """Every recoloring of v except its last must be immediately followed,
     inside v's restriction, by an earlier neighbor taking v's old color."""
     out = []
-    for v, (rsteps, pos) in _restrictions(s, ordering, range(g.n)).items():
+    for v, (rsteps, pos) in _restrictions(s, ordering, range(len(ordering.rank))).items():
         out.extend(_causation(rsteps, pos, s.start, v))
     return out
 
@@ -294,7 +294,7 @@ def _tight_palette_coverage(
 
 
 def check_tight_palette_coverage(
-    s: RecoloringSequence, g: Graph, ordering: EliminationOrdering, v: int
+    s: RecoloringSequence, ordering: EliminationOrdering, v: int
 ) -> list[Violation]:
     """With palette exactly 2d+1 (d = v's back-degree), every tight
     recoloring of v must see the whole palette: v's color before and
@@ -482,7 +482,7 @@ def analyze_sequence(
             # latest member, whose restriction therefore holds X's steps.
             latest = max(x, key=ordering.rank.__getitem__, default=None)
             rsteps = restrictions[latest][0] if x else []
-            rx = RecoloringSequence(tuple(rsteps), s.start, t)
+            rx = RecoloringSequence(tuple(rsteps), s.start)
             naughty_counts.append(len(naughty_recolorings(rx, g, x)))
         stats["naughty_max"] = max(naughty_counts, default=0)
         stats["naughty_cliques"] = len(naughty_counts)

@@ -47,6 +47,7 @@ def _emit(obj, out: str | None) -> None:
 
 
 def _cmd_gen(args) -> int:
+    rio._vertex_count(args.n)  # never write a graph the readers refuse
     g, ordering, td, d = gen_instance(args.family, args.n, args.k, args.seed)
     bundle = {"schema_version": 1, "family": args.family, "seed": args.seed, "k": args.k}
     if args.family == "partial-ktree":

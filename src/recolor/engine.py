@@ -50,11 +50,15 @@ class RecoloringStep(NamedTuple):
 
 @dataclass(frozen=True)
 class RecoloringSequence:
-    """Steps plus the coloring they apply to and the palette size."""
+    """Steps plus the coloring they apply to; the walk's palette is the
+    start coloring's."""
 
     steps: tuple[RecoloringStep, ...]
     start: Coloring
-    palette_size: int
+
+    @property
+    def palette_size(self) -> int:
+        return self.start.palette_size
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -70,7 +74,7 @@ def apply_sequence(g: Graph, s: RecoloringSequence) -> Coloring:
     """
     n = g.n
     t = s.palette_size
-    if not is_proper(g, s.start.with_palette(t)):
+    if not is_proper(g, s.start):
         raise ImproperInput("start coloring is not proper")
     colors = list(s.start.colors)
     adj = g.adj
@@ -104,7 +108,7 @@ def reverse_sequence(s: RecoloringSequence) -> RecoloringSequence:
         RecoloringStep(v, pc)
         for (v, _), pc in zip(reversed(s.steps), reversed(pre))
     ]
-    return RecoloringSequence(tuple(rev), Coloring(colors, s.palette_size), s.palette_size)
+    return RecoloringSequence(tuple(rev), Coloring(colors, s.palette_size))
 
 
 def select_best_choice(
@@ -183,9 +187,8 @@ class _Walk:
     in walk order, as long as v's steps are inserted in walk order.
     """
 
-    def __init__(self, start: Coloring, palette_size: int, steps=()):
+    def __init__(self, start: Coloring, steps=()):
         self.start = start
-        self.palette_size = palette_size
         self.head = _Node(-1, 0, -1)  # below every step's label (all >= 0)
         self.tail = _Node(-1, 0, -1)  # its label is never read
         self.head.next = self.tail
@@ -206,7 +209,7 @@ class _Walk:
 
     def sequence(self) -> RecoloringSequence:
         steps = tuple(RecoloringStep(x.vertex, x.color) for x in self)
-        return RecoloringSequence(steps, self.start, self.palette_size)
+        return RecoloringSequence(steps, self.start)
 
     def insert_before(self, y: _Node, vertex: int, color: int) -> None:
         x = y.prev
@@ -268,11 +271,11 @@ def local_best_choice(
     a new sequence; `best_choice_sequence` passes its walk, which is
     spliced in place and returned.
     """
-    t = s.palette_size
+    t = s.start.palette_size
     nbr_set = frozenset(nbrs)
     if not nbr_set <= g.adj[u]:
         raise ValueError(f"nbrs must be neighbors of {u}")
-    walk = s if isinstance(s, _Walk) else _Walk(s.start, t, s.steps)
+    walk = s if isinstance(s, _Walk) else _Walk(s.start, s.steps)
     # listed before any insertion: a relabel would leave merge's cached keys stale
     restriction = list(heapq.merge(*(walk.by_vertex[w] for w in nbr_set), key=_label))
     nbr_colors = [node.color for node in restriction]
@@ -321,7 +324,7 @@ def best_choice_sequence(
         raise ImproperInput("alpha is not proper")
     if not is_proper(g, beta):
         raise ImproperInput("beta is not proper")
-    walk = _Walk(alpha, alpha.palette_size)
+    walk = _Walk(alpha)
     for v in ordering.order:
         local_best_choice(
             g, v, ordering.back_nbrs[v], walk, alpha[v], beta[v], stats

@@ -8,7 +8,7 @@ values instead of mutating.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Sequence
 
 from .errors import NotChordal, PaletteExhausted, PaletteViolation, RecolorError
@@ -184,7 +184,7 @@ def certify_perfect(g: Graph, ordering: EliminationOrdering) -> EliminationOrder
             for j in range(i + 1, len(b)):
                 if b[j] not in g.adj[b[i]]:
                     raise NotChordal(v, (b[i], b[j]))
-    return EliminationOrdering(ordering.order, ordering.rank, ordering.back_nbrs, True)
+    return replace(ordering, perfect=True)
 
 
 def _peel(g: Graph, key: list[int]) -> tuple[list[int], int]:

@@ -21,6 +21,9 @@ from .graphs import Coloring, EliminationOrdering, Graph
 from .engine import RecoloringSequence, RecoloringStep
 from .treewidth import TreeDecomposition
 
+# Graph(n) allocates n adjacency sets before any edge is read.
+MAX_VERTICES = 10**6
+
 
 def _int(x) -> int:
     """int(x), as ids and colors are read; InvalidParams when x is of a
@@ -32,6 +35,13 @@ def _int(x) -> int:
         return int(x)
     except (TypeError, OverflowError):
         raise InvalidParams(f"expected an integer, got {x!r}") from None
+
+
+def _vertex_count(x) -> int:
+    n = _int(x)
+    if n > MAX_VERTICES:
+        raise InvalidParams(f"n = {n} exceeds the limit of {MAX_VERTICES} vertices")
+    return n
 
 
 def _array(obj, what: str) -> list:
@@ -76,7 +86,7 @@ def graph_from_text(text: str) -> Graph:
     tokens = text.split()
     if len(tokens) < 2:
         raise InvalidParams("graph text needs an 'n m' header")
-    n, m = int(tokens[0]), int(tokens[1])
+    n, m = _vertex_count(tokens[0]), int(tokens[1])
     nums = tokens[2:]
     if len(nums) != 2 * m:
         raise InvalidParams(f"expected {m} edges, found {len(nums) // 2}")
@@ -89,7 +99,7 @@ def graph_to_json(g: Graph) -> dict:
 
 
 def graph_from_json(obj: dict) -> Graph:
-    n = _int(_object(obj, "graph JSON")["n"])
+    n = _vertex_count(_object(obj, "graph JSON")["n"])
     if "adj" in obj:
         adj = [_ints(nbrs, "each of 'adj'") for nbrs in _array(obj["adj"], "'adj'")]
         if len(adj) != n:
@@ -164,7 +174,7 @@ def sequence_from_json(obj: dict) -> RecoloringSequence:
     palette = _int(_object(obj, "sequence JSON")["palette"])
     start = Coloring(_ints(obj["start"], "'start'"), palette)
     steps = tuple(RecoloringStep(v, c) for v, c in _pairs(obj["steps"], "'steps'"))
-    return RecoloringSequence(steps, start, palette)
+    return RecoloringSequence(steps, start)
 
 
 def read_sequence(path: str | Path) -> RecoloringSequence:

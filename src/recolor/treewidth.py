@@ -220,9 +220,7 @@ def expand_sequence(
     for v, c in s2.steps:
         for u in sorted(mm.fibers[v]):
             steps.append(RecoloringStep(u, c))
-    return RecoloringSequence(
-        tuple(steps), project_coloring(mm, s2.start), s2.palette_size
-    )
+    return RecoloringSequence(tuple(steps), project_coloring(mm, s2.start))
 
 
 @dataclass
@@ -321,7 +319,7 @@ def run_pipeline(
         composed_steps = (
             alpha_side.steps + mid.steps + reverse_sequence(beta_side).steps
         )
-        composed = RecoloringSequence(composed_steps, alpha, t)
+        composed = RecoloringSequence(composed_steps, alpha)
         end = apply_sequence(g, composed)
         if end.colors != beta.colors:
             raise RecolorError("composed sequence does not end at beta")

@@ -74,7 +74,7 @@ def local_best_choice(
     if u_color != beta_u:
         out.append(RecoloringStep(u, beta_u))
     start = s.start if s.start[u] == alpha_u else s.start.with_color(u, alpha_u)
-    return RecoloringSequence(tuple(out), start, t)
+    return RecoloringSequence(tuple(out), start)
 
 
 def best_choice_sequence(
@@ -97,7 +97,7 @@ def best_choice_sequence(
         raise ImproperInput("alpha is not proper")
     if not is_proper(g, beta):
         raise ImproperInput("beta is not proper")
-    s = RecoloringSequence((), alpha, alpha.palette_size)
+    s = RecoloringSequence((), alpha)
     for v in ordering.order:
         s = local_best_choice(
             g, v, ordering.back_nbrs[v], s, alpha[v], beta[v], stats

@@ -155,12 +155,12 @@ def test_04_structural_guarantees(report):
             alpha = gen_random_coloring(g, ordering, t, seed + 1)
             beta = gen_random_coloring(g, ordering, t, seed + 2)
             s = best_choice_sequence(g, ordering, alpha, beta)
-            violations += len(check_revisit_spacing(s, g, ordering))
+            violations += len(check_revisit_spacing(s, ordering))
             for v in range(g.n):
-                if not check_save_inequality(s, g, ordering, v).passed:
+                if not check_save_inequality(s, ordering, v).passed:
                     violations += 1
                 if len(ordering.back_nbrs[v]) == d:
-                    violations += len(check_tight_palette_coverage(s, g, ordering, v))
+                    violations += len(check_tight_palette_coverage(s, ordering, v))
                 checked += 1
     elapsed = time.monotonic() - t0
     ok = violations == 0 and elapsed < 300

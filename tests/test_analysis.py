@@ -37,7 +37,7 @@ from strategies import engine_cases
 
 def seq(steps, start, t):
     return RecoloringSequence(
-        tuple(RecoloringStep(v, c) for v, c in steps), Coloring(tuple(start), t), t
+        tuple(RecoloringStep(v, c) for v, c in steps), Coloring(tuple(start), t)
     )
 
 
@@ -78,24 +78,24 @@ class TestBasics:
 
 class TestTightAndSaved:
     def test_tight_on_worked_trace(self):
-        assert tight_recolorings(worked_trace(), P3, O3, 1) == [0]
-        assert tight_recolorings(worked_trace(), P3, O3, 2) == []
+        assert tight_recolorings(worked_trace(), O3, 1) == [0]
+        assert tight_recolorings(worked_trace(), O3, 2) == []
 
     def test_tight_with_two_intervening(self):
         s = seq([(2, 4), (0, 3), (1, 5), (2, 1)], (1, 2, 3), 5)
         apply_sequence(K3, s)
-        assert tight_recolorings(s, K3, OK3, 2) == [0]
+        assert tight_recolorings(s, OK3, 2) == [0]
 
     def test_saved_on_worked_trace(self):
-        assert saved_steps(worked_trace(), P3, O3, 1) == ([], 0)
-        assert saved_steps(worked_trace(), P3, O3, 2) == ([0, 2], 2)
+        assert saved_steps(worked_trace(), O3, 1) == ([], 0)
+        assert saved_steps(worked_trace(), O3, 2) == ([0, 2], 2)
 
     def test_save_inequality_on_worked_trace(self):
-        r1 = check_save_inequality(worked_trace(), P3, O3, 1)
+        r1 = check_save_inequality(worked_trace(), O3, 1)
         assert r1 == (True, 2, 1, 0, 1, 2)
-        r2 = check_save_inequality(worked_trace(), P3, O3, 2)
+        r2 = check_save_inequality(worked_trace(), O3, 2)
         assert r2 == (True, 1, 2, 2, 1, 1)
-        r0 = check_save_inequality(worked_trace(), P3, O3, 0)
+        r0 = check_save_inequality(worked_trace(), O3, 0)
         assert r0.passed and r0.bound == 1 and r0.d == 0
 
     @given(engine_cases(max_n=10, tight_palette=True))
@@ -104,19 +104,19 @@ class TestTightAndSaved:
         g, ordering, t, alpha, beta = case
         s = best_choice_sequence(g, ordering, alpha, beta)
         for v in range(g.n):
-            assert check_save_inequality(s, g, ordering, v).passed
+            assert check_save_inequality(s, ordering, v).passed
 
 
 class TestSpacingAndCausation:
     def test_worked_trace_is_clean(self):
-        assert check_revisit_spacing(worked_trace(), P3, O3) == []
-        assert check_causation(worked_trace(), P3, O3) == []
+        assert check_revisit_spacing(worked_trace(), O3) == []
+        assert check_causation(worked_trace(), O3) == []
 
     def test_back_to_back_recoloring_flagged(self):
         g = Graph(2, [])
         o = EliminationOrdering.from_order(g, (0, 1))
         s = seq([(0, 2), (0, 3)], (1, 1), 3)
-        out = check_revisit_spacing(s, g, o)
+        out = check_revisit_spacing(s, o)
         assert len(out) == 1
         assert out[0].check == "revisit-spacing"
         assert out[0].vertex == 0 and out[0].indices == (0, 1)
@@ -124,7 +124,7 @@ class TestSpacingAndCausation:
     def test_close_revisit_flagged_unless_last(self):
         s = seq([(2, 4), (0, 3), (2, 5), (1, 4), (2, 1)], (1, 2, 3), 5)
         apply_sequence(K3, s)
-        out = check_revisit_spacing(s, K3, OK3)
+        out = check_revisit_spacing(s, OK3)
         assert [(v.vertex, v.indices) for v in out] == [(2, (0, 2))]
 
     def test_uncaused_nonfinal_recoloring_flagged(self):
@@ -132,7 +132,7 @@ class TestSpacingAndCausation:
         o = EliminationOrdering.from_order(g, (0, 1))
         s = seq([(1, 3), (0, 4), (1, 2)], (1, 2), 4)
         apply_sequence(g, s)
-        out = check_causation(s, g, o)
+        out = check_causation(s, o)
         assert [(v.check, v.vertex, v.indices) for v in out] == [("causation", 1, (0,))]
 
     @given(engine_cases(max_n=10))
@@ -140,26 +140,26 @@ class TestSpacingAndCausation:
     def test_causation_holds_at_any_palette(self, case):
         g, ordering, t, alpha, beta = case
         s = best_choice_sequence(g, ordering, alpha, beta)
-        assert check_causation(s, g, ordering) == []
+        assert check_causation(s, ordering) == []
 
     @given(engine_cases(max_n=10, tight_palette=True))
     @settings(max_examples=50, deadline=None)
     def test_spacing_holds_at_tight_palette(self, case):
         g, ordering, t, alpha, beta = case
         s = best_choice_sequence(g, ordering, alpha, beta)
-        assert check_revisit_spacing(s, g, ordering) == []
+        assert check_revisit_spacing(s, ordering) == []
 
 
 class TestTightCoverage:
     def test_worked_trace_exempt_final_follower(self):
-        assert check_tight_palette_coverage(worked_trace(), P3, O3, 1) == []
+        assert check_tight_palette_coverage(worked_trace(), O3, 1) == []
 
     def test_missing_color_flagged(self):
         # Structural check only: the restriction need not be replayable.
         g = Graph(3, [(0, 1)])
         o = EliminationOrdering.from_order(g, (0, 1, 2))
         s = seq([(1, 3), (0, 2), (1, 1), (0, 1)], (3, 2, 1), 3)
-        out = check_tight_palette_coverage(s, g, o, 1)
+        out = check_tight_palette_coverage(s, o, 1)
         assert len(out) == 1
         assert out[0].check == "tight-coverage"
         assert out[0].indices == (0,)
@@ -168,7 +168,7 @@ class TestTightCoverage:
     def test_wrong_palette_rejected(self):
         s = seq([(1, 3)], (1, 2, 1), 4)
         with pytest.raises(ValueError):
-            check_tight_palette_coverage(s, P3, O3, 1)
+            check_tight_palette_coverage(s, O3, 1)
 
 
 class TestRotating:

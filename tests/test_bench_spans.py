@@ -4,8 +4,7 @@
 binding and fails on a missing span or an unwrapped binding, so a library
 change that renames, inlines or stops calling a traced function breaks
 the benchmark's per-layer metrics.  The perfbench suite itself is not part
-of these tests; this runs the three traced workloads that go through walk
-construction, on tiny inputs."""
+of these tests; this runs all four traced workloads on tiny inputs."""
 
 from __future__ import annotations
 
@@ -19,7 +18,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize(
-    "workload", ["chordal-solve", "treewidth-pipeline", "degenerate-sweep"]
+    "workload",
+    ["chordal-solve", "treewidth-pipeline", "degenerate-sweep", "oracle-exact"],
 )
 def test_traced_run_finds_every_span(workload):
     proc = subprocess.run(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 
@@ -14,6 +16,7 @@ from recolor import (
     ImproperInput,
     ImproperIntermediate,
     NullStep,
+    PaletteViolation,
     RecoloringSequence,
     RecoloringStep,
     apply_sequence,
@@ -33,7 +36,7 @@ def p3():
 
 def seq(steps, start, t):
     return RecoloringSequence(
-        tuple(RecoloringStep(v, c) for v, c in steps), Coloring(tuple(start), t), t
+        tuple(RecoloringStep(v, c) for v, c in steps), Coloring(tuple(start), t)
     )
 
 
@@ -56,6 +59,16 @@ class TestApplySequence:
     def test_improper_start_rejected(self):
         s = seq([(1, 3)], (1, 1, 2), 3)
         with pytest.raises(ImproperInput):
+            apply_sequence(p3(), s)
+
+    def test_palette_is_the_start_colorings(self):
+        names = [f.name for f in dataclasses.fields(RecoloringSequence)]
+        assert names == ["steps", "start"]
+        assert seq([], (1, 2, 1), 3).palette_size == 3
+
+    def test_step_outside_start_palette_rejected(self):
+        s = RecoloringSequence((RecoloringStep(1, 5),), Coloring((1, 2, 1), 3))
+        with pytest.raises(PaletteViolation):
             apply_sequence(p3(), s)
 
     def test_empty_sequence_is_identity(self):
@@ -188,7 +201,7 @@ class TestBestChoiceSequence:
         # restriction to each prefix of the ordering.
         g, ordering, t, alpha, beta = case
         full = best_choice_sequence(g, ordering, alpha, beta)
-        stage = RecoloringSequence((), alpha, t)
+        stage = RecoloringSequence((), alpha)
         done = []
         for v in ordering.order:
             stage = local_best_choice(

@@ -75,7 +75,7 @@ def test_best_choice_sequence_matches_reference(case, spacing):
 def test_local_best_choice_on_sequences_matches_reference(case):
     # a RecoloringSequence goes into a walk and comes back out, stage by stage
     g, ordering, alpha, beta = case
-    s = r = RecoloringSequence((), alpha, alpha.palette_size)
+    s = r = RecoloringSequence((), alpha)
     for v in ordering.order:
         args = (g, v, ordering.back_nbrs[v])
         try:
@@ -100,7 +100,7 @@ def star_walk(n):
     ordering = EliminationOrdering.from_order(g, tuple(range(n)))
     alpha = Coloring((1,) + (2,) * (n - 1), 3)
     beta = Coloring((2,) + (1,) * (n - 1), 3)
-    walk = engine._Walk(alpha, 3)
+    walk = engine._Walk(alpha)
     for v in ordering.order:
         engine.local_best_choice(g, v, ordering.back_nbrs[v], walk, alpha[v], beta[v])
     return g, ordering, alpha, beta, walk

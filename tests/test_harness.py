@@ -486,6 +486,16 @@ class TestCli:
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
 
+    def test_vertex_count_bound_is_bad_input(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(rio, "MAX_VERTICES", 10)
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps({"n": 11, "edges": []}))
+        for argv in (["peo", "--graph", str(g)], ["gen", "--n", "11"]):
+            code, stdout, err = self.run(capsys, *argv)
+            assert code == 2
+            assert stdout == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_bad_input_exit_code(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.json")
         code, _, err = self.run(capsys, "peo", "--graph", missing)

@@ -6,7 +6,14 @@ import json
 
 import pytest
 
-from recolor import Coloring, Graph, InvalidParams, TreeDecomposition
+from recolor import (
+    Coloring,
+    EliminationOrdering,
+    Graph,
+    InvalidParams,
+    TreeDecomposition,
+    best_choice_sequence,
+)
 from recolor import io as rio
 from recolor.engine import RecoloringSequence, RecoloringStep
 
@@ -38,6 +45,25 @@ class TestGraphFormats:
         g = rio.graph_from_json({"n": 2, "adj": [[1], []]})
         assert g.has_edge(0, 1)
 
+    @pytest.mark.parametrize(
+        "read, data",
+        [
+            (rio.graph_from_json, {"n": 11, "edges": []}),
+            (rio.graph_from_json, {"n": 11, "adj": [[]] * 11}),
+            (rio.graph_from_text, "11 0\n"),
+        ],
+    )
+    def test_vertex_count_bounded(self, monkeypatch, read, data):
+        monkeypatch.setattr(rio, "MAX_VERTICES", 10)
+        with pytest.raises(InvalidParams):
+            read(data)
+
+    def test_vertex_count_at_bound_reads(self, monkeypatch):
+        monkeypatch.setattr(rio, "MAX_VERTICES", 10)
+        assert rio.graph_from_json({"n": 10, "edges": []}).n == 10
+        assert rio.graph_from_json({"n": 10, "adj": [[]] * 10}).n == 10
+        assert rio.graph_from_text("10 0\n").n == 10
+
     def test_read_graph_sniffs_and_unwraps_bundles(self, tmp_path):
         g = sample_graph()
         p1 = tmp_path / "g.txt"
@@ -68,14 +94,25 @@ class TestOtherFormats:
 
     def test_sequence_round_trip(self, tmp_path):
         s = RecoloringSequence(
-            (RecoloringStep(1, 3), RecoloringStep(0, 2)), Coloring((1, 2, 1), 3), 3
+            (RecoloringStep(1, 3), RecoloringStep(0, 2)), Coloring((1, 2, 1), 3)
         )
         p = tmp_path / "s.json"
         rio.write_sequence(p, s)
         assert rio.read_sequence(p) == s
 
+    def test_constructed_sequence_round_trip(self, tmp_path):
+        g = sample_graph()
+        ordering = EliminationOrdering.from_order(g, (0, 1, 2, 3))
+        s = best_choice_sequence(
+            g, ordering, Coloring((1, 2, 1, 2), 3), Coloring((2, 1, 2, 1), 3)
+        )
+        assert s.steps
+        p = tmp_path / "s.json"
+        rio.write_sequence(p, s)
+        assert rio.read_sequence(p) == s
+
     def test_sequence_json_shape(self):
-        s = RecoloringSequence((RecoloringStep(1, 3),), Coloring((1, 2), 3), 3)
+        s = RecoloringSequence((RecoloringStep(1, 3),), Coloring((1, 2), 3))
         obj = rio.sequence_to_json(s)
         assert obj == {"palette": 3, "start": [1, 2], "steps": [[1, 3]]}
 

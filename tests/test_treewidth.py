@@ -149,9 +149,7 @@ class TestProjectAndExpand:
     def test_expand_replays_fibers_in_order(self):
         g, td = c4(), c4_td()
         g2, mm, alpha2, _ = merge_by_coloring(g, td, Coloring((1, 2, 1, 2), 5))
-        s2 = RecoloringSequence(
-            (RecoloringStep(0, 3),), alpha2, 5
-        )
+        s2 = RecoloringSequence((RecoloringStep(0, 3),), alpha2)
         s = expand_sequence(g2, mm, s2)
         assert [(st.vertex, st.new_color) for st in s.steps] == [(0, 3), (2, 3)]
         assert s.start.colors == (1, 2, 1, 2)
@@ -160,7 +158,7 @@ class TestProjectAndExpand:
     def test_invalid_quotient_sequence_rejected(self):
         g, td = c4(), c4_td()
         g2, mm, alpha2, _ = merge_by_coloring(g, td, Coloring((1, 2, 1, 2), 5))
-        bad = RecoloringSequence((RecoloringStep(0, 1),), alpha2, 5)
+        bad = RecoloringSequence((RecoloringStep(0, 1),), alpha2)
         with pytest.raises(InvalidQuotientSequence):
             expand_sequence(g2, mm, bad)
 
