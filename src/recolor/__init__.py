@@ -26,7 +26,6 @@ from .errors import (
     StateCapExceeded,
     UncoveredEdge,
     UncoveredVertex,
-    WrongSize,
 )
 from .graphs import (
     Coloring,
@@ -52,20 +51,15 @@ from .analysis import (
     SaveInequalityResult,
     Violation,
     analyze_sequence,
-    caused_by,
     check_causation,
     check_revisit_spacing,
     check_save_inequality,
     check_tight_palette_coverage,
-    count_pattern,
     naughty_recolorings,
     per_vertex_counts,
-    restrict,
-    rotating_recolorings,
     saved_steps,
     tight_recolorings,
 )
-from .bounds import naughty_threshold, per_vertex_bound, pipeline_bound
 from .oracle import (
     DEFAULT_STATE_CAP,
     enumerate_colorings,
@@ -97,6 +91,7 @@ from .generators import (
 from .experiment import (
     ExperimentConfig,
     ExperimentRow,
+    per_vertex_bound,
     resolve_t_rule,
     rows_to_csv,
     rows_to_json,

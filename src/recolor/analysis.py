@@ -27,50 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import NotAClique, WrongSize
+from .errors import NotAClique
 from .graphs import Coloring, EliminationOrdering, Graph
 from .engine import RecoloringSequence, RecoloringStep
-
-
-def restrict(s: RecoloringSequence, x: Iterable[int]) -> RecoloringSequence:
-    """Subsequence of steps recoloring vertices of x.
-
-    The start coloring is kept in full so member colors can still be
-    replayed; restrictions are analysis objects, not replayable walks.
-    """
-    keep = set(x)
-    steps = tuple(st for st in s.steps if st.vertex in keep)
-    return RecoloringSequence(steps, s.start)
-
-
-def count_pattern(s: RecoloringSequence, pattern: Sequence[int]) -> int:
-    """Occurrences of `pattern` in the step-vertex word, overlaps counted."""
-    word = [st.vertex for st in s.steps]
-    p = list(pattern)
-    if not p or len(p) > len(word):
-        return 0
-    return sum(1 for i in range(len(word) - len(p) + 1) if word[i : i + len(p)] == p)
-
-
-def caused_by(g: Graph, s: RecoloringSequence, i: int) -> int | None:
-    """The vertex whose upcoming move forced step i, or None.
-
-    Step i recoloring u is caused by w when the very next step recolors a
-    neighbor w of u to the color u held just before step i.  Closing
-    steps (nothing relevant after them) return None.
-    """
-    steps = s.steps
-    u = steps[i].vertex
-    if i + 1 >= len(steps):
-        return None
-    w, c2 = steps[i + 1]
-    if w not in g.adj[u]:
-        return None
-    pre = s.start[u]
-    for st in steps[:i]:
-        if st.vertex == u:
-            pre = st.new_color
-    return w if c2 == pre else None
 
 
 def per_vertex_counts(s: RecoloringSequence) -> dict[int, int]:
@@ -314,27 +273,19 @@ def check_tight_palette_coverage(
     return _tight_palette_coverage(rsteps, pos, s.start, v, back, s.palette_size)
 
 
-def rotating_recolorings(s: RecoloringSequence, x: int) -> list[int]:
-    """Step indices (in s) of recolorings of x whose color three moves
-    later returns to the color held just before: with color history
-    x_0, x_1, ..., the j-th recoloring is rotating iff x_{j+2} = x_{j-1}.
-    Recolorings lacking two successors are never rotating."""
-    own = [i for i, (v, _) in enumerate(s.steps) if v == x]
-    hist = [s.start[x], *(s.steps[i].new_color for i in own)]
-    return [own[j] for j in _rotating(hist)]
-
-
 def _rotating(hist: Sequence[int]) -> list[int]:
     """Ordinals (0 = first recoloring) of the rotating recolorings of one
-    vertex, given its color history, start color first."""
+    vertex, given its color history x_0 (the start color), x_1, ...: the
+    recoloring to x_j is rotating iff x_{j+2} = x_{j-1}.  Recolorings
+    lacking two successors are never rotating."""
     return [j - 1 for j in range(1, len(hist) - 2) if hist[j + 2] == hist[j - 1]]
 
 
 def naughty_recolorings(
-    s: RecoloringSequence, g: Graph, clique_x: Iterable[int], d: int | None = None
+    s: RecoloringSequence, g: Graph, clique_x: Iterable[int]
 ) -> list[int]:
-    """Positions, inside the restriction to a (d-1)-clique X, of steps that
-    are both color-avoiding and causation-free:
+    """Positions, inside the restriction to a clique X, of steps that are
+    both color-avoiding and causation-free, where d = |X| + 1:
 
       1. at least three palette colors appear neither among X's colors
          just before the step nor among the next 3d+4 steps' new colors;
@@ -348,10 +299,7 @@ def naughty_recolorings(
         for j in range(i + 1, len(xs)):
             if xs[j] not in g.adj[xs[i]]:
                 raise NotAClique(xs, (xs[i], xs[j]))
-    if d is None:
-        d = len(xs) + 1
-    elif len(xs) != d - 1:
-        raise WrongSize(f"expected a clique of size {d - 1}, got {len(xs)}")
+    d = len(xs) + 1
     w1 = 3 * d + 4
     w2 = 3 * d - 4
     t = s.palette_size

@@ -13,7 +13,8 @@ color and otherwise postpones the next forced move as long as possible.
 
 The walk under construction is a doubly linked list of step nodes with
 integer order labels (`_Walk`); each vertex keeps its own nodes in walk
-order.  A vertex's restriction, the steps of its earlier neighbors, is a
+order, and `local_best_choice` splices one vertex into it in place.  A
+vertex's restriction, the steps of its earlier neighbors, is a
 merge of their node lists by label, and each spliced step is linked in
 before its triggering node.  A closed label gap relabels the smallest
 sparse enough window around it, not the whole list.  Folding in all
@@ -187,7 +188,7 @@ class _Walk:
     in walk order, as long as v's steps are inserted in walk order.
     """
 
-    def __init__(self, start: Coloring, steps=()):
+    def __init__(self, start: Coloring):
         self.start = start
         self.head = _Node(-1, 0, -1)  # below every step's label (all >= 0)
         self.tail = _Node(-1, 0, -1)  # its label is never read
@@ -195,8 +196,6 @@ class _Walk:
         self.tail.prev = self.head
         self.by_vertex: defaultdict[int, list[_Node]] = defaultdict(list)
         self.relabelled = 0  # nodes relabelled so far, for the cost bound
-        for v, c in steps:
-            self.insert_before(self.tail, v, c)
 
     def __iter__(self):
         node = self.head.next
@@ -254,28 +253,23 @@ def local_best_choice(
     g: Graph,
     u: int,
     nbrs: Iterable[int],
-    s: RecoloringSequence | _Walk,
+    walk: _Walk,
     alpha_u: int,
     beta_u: int,
     stats: dict | None = None,
-) -> RecoloringSequence | _Walk:
-    """Splice vertex u into a sequence that never touches u.
+) -> None:
+    """Splice vertex u, in place, into a walk that never touches u.
 
-    `nbrs` are u's neighbors in the graph the base sequence lives on.
-    Whenever a step of s recolors one of them to u's current color, a step
+    `nbrs` are u's neighbors in the graph the walk lives on.  Whenever a
+    step of the walk recolors one of them to u's current color, a step
     moving u to a best-choice color is inserted immediately before it; a
     final step to beta_u is appended iff u does not already sit there.
-
-    The base sequence's start is reused with u's entry set to alpha_u.
-    A RecoloringSequence is copied into a walk and the result returned as
-    a new sequence; `best_choice_sequence` passes its walk, which is
-    spliced in place and returned.
+    The walk's start gets u's entry set to alpha_u.
     """
-    t = s.start.palette_size
+    t = walk.start.palette_size
     nbr_set = frozenset(nbrs)
     if not nbr_set <= g.adj[u]:
         raise ValueError(f"nbrs must be neighbors of {u}")
-    walk = s if isinstance(s, _Walk) else _Walk(s.start, s.steps)
     # listed before any insertion: a relabel would leave merge's cached keys stale
     restriction = list(heapq.merge(*(walk.by_vertex[w] for w in nbr_set), key=_label))
     nbr_colors = [node.color for node in restriction]
@@ -301,7 +295,6 @@ def local_best_choice(
         walk.insert_before(walk.tail, u, beta_u)
     if walk.start[u] != alpha_u:
         walk.start = walk.start.with_color(u, alpha_u)
-    return walk if walk is s else walk.sequence()
 
 
 def best_choice_sequence(

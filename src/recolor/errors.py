@@ -136,9 +136,5 @@ class NotAClique(RecolorError):
         super().__init__(f"{a} and {b} are not adjacent; set is not a clique")
 
 
-class WrongSize(RecolorError):
-    """A vertex set does not have the size the operation requires."""
-
-
 class InvalidParams(RecolorError):
     """An experiment or CLI configuration is malformed."""

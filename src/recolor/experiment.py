@@ -23,7 +23,6 @@ from dataclasses import dataclass, fields
 from typing import Sequence
 
 from .analysis import analyze_sequence
-from .bounds import per_vertex_bound
 from .engine import best_choice_sequence
 from .errors import InvalidParams
 from .generators import FAMILIES, gen_instance, gen_random_coloring
@@ -31,6 +30,15 @@ from .graphs import EliminationOrdering, Graph
 from .oracle import DEFAULT_STATE_CAP, rt_distance
 
 SCHEMA_VERSION = 1
+
+
+def per_vertex_bound(d: int) -> int:
+    """Maximum recolorings of any single vertex, in terms of the
+    degeneracy d of the input graph (palette size 2d+1 or larger): a
+    deliberately loose worst-case ceiling, far above observed counts."""
+    if d < 1:
+        raise ValueError("degeneracy must be at least 1")
+    return (2**18) * d**7
 
 
 def resolve_t_rule(rule: str | int, d: int) -> int:

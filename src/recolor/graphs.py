@@ -54,11 +54,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
 
-    def induced(self, vertices: Iterable[int]) -> "Graph":
-        """Graph on the same vertex ids keeping only edges inside `vertices`."""
-        keep = set(vertices)
-        return Graph(self.n, [(u, v) for u, v in self.edges() if u in keep and v in keep])
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 

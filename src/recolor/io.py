@@ -1,10 +1,11 @@
 """Readers and writers for the on-disk formats.
 
 Graphs travel either as plain text ("n m" header then one "u v" line per
-edge, 0-based) or as JSON {"n": ..., "adj": [[...], ...]}.  Colorings are
-JSON arrays of 1-based colors.  Decompositions are {"bags": [[...], ...],
-"tree_edges": [[i, j], ...]}.  Sequences are {"palette": t, "start":
-[...], "steps": [[vertex, color], ...]}.
+edge, 0-based) or as JSON {"n": ..., "adj": [[...], ...]}, each edge
+listed at both ends.  Colorings are JSON arrays of 1-based colors.
+Decompositions are {"bags": [[...], ...], "tree_edges": [[i, j], ...]}.
+Sequences are {"palette": t, "start": [...], "steps": [[vertex, color],
+...]}.
 
 `read_graph` sniffs the format and also accepts a generator bundle (a
 JSON object with a "graph" key), so files written by `recolor gen` can be
@@ -105,6 +106,13 @@ def graph_from_json(obj: dict) -> Graph:
         if len(adj) != n:
             raise InvalidParams(f"'adj' holds {len(adj)} lists, expected n = {n}")
         edges = [(u, v) for u, nbrs in enumerate(adj) for v in nbrs]
+        # ids outside 0..n-1 are left for Graph to reject
+        listed = [set(nbrs) for nbrs in adj]
+        for u, v in edges:
+            if 0 <= v < n and u not in listed[v]:
+                raise InvalidParams(
+                    f"'adj' lists {v} as a neighbor of {u} but not {u} of {v}"
+                )
     elif "edges" in obj:
         edges = _pairs(obj["edges"], "'edges'")
     else:

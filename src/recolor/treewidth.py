@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .errors import (
     DisconnectedTrace,
@@ -160,7 +160,7 @@ def merge_by_coloring(g: Graph, td: TreeDecomposition, alpha: Coloring) -> Merge
     """
     validate_decomposition(g, td)
     if not is_proper(g, alpha):
-        raise ImproperInput("alpha is not proper")
+        raise ImproperInput("coloring is not proper")
     n = g.n
     root = list(range(n))
 
@@ -260,16 +260,15 @@ class PipelineResult:
 
 
 def _half_sequence(
-    g: Graph, td: TreeDecomposition, coloring: Coloring, t: int
+    merged: MergeResult, k: int, t: int
 ) -> tuple[RecoloringSequence, Coloring]:
-    """Merge by `coloring`, recolor the quotient toward a greedy small
-    coloring, and expand back.  Returns the expanded walk and its final
-    (projected) coloring."""
-    k = td.width
-    g2, mm, col2, td2 = merge_by_coloring(g, td, coloring)
+    """Recolor a quotient toward a greedy (k+1)-coloring on palette t, and
+    expand back.  Returns the expanded walk and its final (projected)
+    coloring."""
+    g2, mm, col2, _ = merged
     peo = mcs_peo(g2)
     gamma_small = greedy_color(g2, peo, k + 1).with_palette(t)
-    s2 = best_choice_sequence(g2, peo, col2.with_palette(t), gamma_small)
+    s2 = best_choice_sequence(g2, peo, col2, gamma_small)
     expanded = expand_sequence(g2, mm, s2)
     return expanded, project_coloring(mm, gamma_small)
 
@@ -293,17 +292,18 @@ def run_pipeline(
     full composition is validated to end exactly at beta; with
     bridge="none" the two half-walks are returned on their own.
     """
-    k = validate_decomposition(g, td)
-    if t < 2 * k + 1:
-        raise ValueError(f"palette {t} too small for width {k}; need >= {2 * k + 1}")
     if alpha.palette_size != t:
         alpha = alpha.with_palette(t)
     if beta.palette_size != t:
         beta = beta.with_palette(t)
-    if not is_proper(g, alpha) or not is_proper(g, beta):
-        raise ImproperInput("endpoint colorings must be proper")
-    alpha_side, gamma1 = _half_sequence(g, td, alpha, t)
-    beta_side, gamma2 = _half_sequence(g, td, beta, t)
+    # each merge validates the decomposition and checks its coloring is proper
+    alpha_merged = merge_by_coloring(g, td, alpha)
+    beta_merged = merge_by_coloring(g, td, beta)
+    k = td.width
+    if t < 2 * k + 1:
+        raise ValueError(f"palette {t} too small for width {k}; need >= {2 * k + 1}")
+    alpha_side, gamma1 = _half_sequence(alpha_merged, k, t)
+    beta_side, gamma2 = _half_sequence(beta_merged, k, t)
 
     if bridge == "none":
         mid = composed = None

@@ -34,7 +34,6 @@ from recolor import (
     mcs_peo,
     merge_by_coloring,
     per_vertex_bound,
-    pipeline_bound,
     rows_to_csv,
     rt_connected,
     rt_diameter,
@@ -223,7 +222,7 @@ def test_07_pipeline(report):
     t0 = time.monotonic()
     total = 0
     worst = 0
-    bound = pipeline_bound(2)
+    bound = 2 * per_vertex_bound(2) + 2  # one budget per side plus the two closing moves
     for seed in range(110):
         n = 5 + seed % 4
         g, td = gen_partial_ktree(n, 2, seed)

@@ -21,8 +21,8 @@ from recolor import (
     RecoloringStep,
     apply_sequence,
     best_choice_sequence,
+    engine,
     local_best_choice,
-    restrict,
     reverse_sequence,
     rt_distance,
     select_best_choice,
@@ -38,6 +38,14 @@ def seq(steps, start, t):
     return RecoloringSequence(
         tuple(RecoloringStep(v, c) for v, c in steps), Coloring(tuple(start), t)
     )
+
+
+def walk(steps, start, t):
+    """A walk under construction holding `steps` from `start`."""
+    w = engine._Walk(Coloring(tuple(start), t))
+    for v, c in steps:
+        w.insert_before(w.tail, v, c)
+    return w
 
 
 class TestApplySequence:
@@ -132,10 +140,11 @@ class TestSelectBestChoice:
 class TestLocalBestChoice:
     def test_path_insertion_example(self):
         g = p3()
-        base = seq([(1, 3), (0, 2), (1, 1)], (1, 2, 1), 3)
+        out = walk([(1, 3), (0, 2), (1, 1)], (1, 2, 1), 3)
         # Re-derive the full trace by treating vertex 2 as the new last
         # vertex over its earlier neighbourhood {1}.
-        out = local_best_choice(g, 2, frozenset({1}), base, alpha_u=1, beta_u=2)
+        local_best_choice(g, 2, frozenset({1}), out, alpha_u=1, beta_u=2)
+        out = out.sequence()
         assert [(st.vertex, st.new_color) for st in out.steps] == [
             (1, 3),
             (0, 2),
@@ -146,15 +155,15 @@ class TestLocalBestChoice:
 
     def test_no_conflicts_just_closes(self):
         g = Graph(2, [(0, 1)])
-        base = seq([], (1, 2), 3)
-        out = local_best_choice(g, 1, frozenset({0}), base, alpha_u=2, beta_u=3)
-        assert [(st.vertex, st.new_color) for st in out.steps] == [(1, 3)]
+        out = walk([], (1, 2), 3)
+        local_best_choice(g, 1, frozenset({0}), out, alpha_u=2, beta_u=3)
+        assert [(st.vertex, st.new_color) for st in out.sequence().steps] == [(1, 3)]
 
     def test_already_at_target_adds_nothing(self):
         g = Graph(2, [(0, 1)])
-        base = seq([], (1, 2), 3)
-        out = local_best_choice(g, 1, frozenset({0}), base, alpha_u=2, beta_u=2)
-        assert out.steps == ()
+        out = walk([], (1, 2), 3)
+        local_best_choice(g, 1, frozenset({0}), out, alpha_u=2, beta_u=2)
+        assert out.sequence().steps == ()
 
 
 class TestBestChoiceSequence:
@@ -201,15 +210,16 @@ class TestBestChoiceSequence:
         # restriction to each prefix of the ordering.
         g, ordering, t, alpha, beta = case
         full = best_choice_sequence(g, ordering, alpha, beta)
-        stage = RecoloringSequence((), alpha)
-        done = []
+        stage = engine._Walk(alpha)
+        done = set()
         for v in ordering.order:
-            stage = local_best_choice(
+            local_best_choice(
                 g, v, ordering.back_nbrs[v], stage,
                 alpha.colors[v], beta.colors[v],
             )
-            done.append(v)
-            assert restrict(full, done).steps == stage.steps
+            done.add(v)
+            restriction = tuple(st for st in full.steps if st.vertex in done)
+            assert restriction == stage.sequence().steps
 
     @given(engine_cases(max_n=5, max_k=2))
     @settings(max_examples=25, deadline=None)

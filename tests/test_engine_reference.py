@@ -73,23 +73,24 @@ def test_best_choice_sequence_matches_reference(case, spacing):
 @given(cases(max_n=12))
 @settings(max_examples=150, deadline=None)
 def test_local_best_choice_on_sequences_matches_reference(case):
-    # a RecoloringSequence goes into a walk and comes back out, stage by stage
+    # one walk, spliced vertex by vertex, checked after every splice
     g, ordering, alpha, beta = case
-    s = r = RecoloringSequence((), alpha)
+    walk = engine._Walk(alpha)
+    r = RecoloringSequence((), alpha)
     for v in ordering.order:
         args = (g, v, ordering.back_nbrs[v])
         try:
             expected = ref.local_best_choice(*args, r, alpha[v], beta[v])
         except EmptyValidSet as e:
             try:
-                engine.local_best_choice(*args, s, alpha[v], beta[v])
+                engine.local_best_choice(*args, walk, alpha[v], beta[v])
             except EmptyValidSet as f:
                 assert (str(f), f.vertex, f.step_index) == (str(e), e.vertex, e.step_index)
                 return
             raise AssertionError("expected EmptyValidSet")
-        s = engine.local_best_choice(*args, s, alpha[v], beta[v])
+        engine.local_best_choice(*args, walk, alpha[v], beta[v])
         r = expected
-        assert s == r
+        assert walk.sequence() == r
 
 
 def star_walk(n):

@@ -50,13 +50,6 @@ class TestGraph:
         with pytest.raises(ValueError):
             Graph(2, [(0, 2)])
 
-    def test_induced_subgraph_keeps_ids(self):
-        g = path(4)
-        h = g.induced([1, 2, 3])
-        assert h.n == 4
-        assert sorted(h.edges()) == [(1, 2), (2, 3)]
-        assert h.degree(0) == 0
-
     def test_empty_graph(self):
         g = Graph(0, [])
         assert g.n == 0

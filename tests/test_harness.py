@@ -496,6 +496,16 @@ class TestCli:
             assert stdout == ""
             assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_one_sided_adjacency_is_bad_input(self, tmp_path, capsys):
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps({"n": 3, "adj": [[1], [0, 2], []]}))
+        code, stdout, err = self.run(capsys, "peo", "--graph", str(g))
+        assert code == 2
+        assert stdout == ""
+        assert err == (
+            "error: InvalidParams: 'adj' lists 2 as a neighbor of 1 but not 1 of 2\n"
+        )
+
     def test_bad_input_exit_code(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.json")
         code, _, err = self.run(capsys, "peo", "--graph", missing)

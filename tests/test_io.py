@@ -41,9 +41,9 @@ class TestGraphFormats:
         g = rio.graph_from_json({"n": 3, "edges": [[0, 1], [1, 2]]})
         assert sorted(g.edges()) == [(0, 1), (1, 2)]
 
-    def test_json_one_sided_adjacency_ok(self):
-        g = rio.graph_from_json({"n": 2, "adj": [[1], []]})
-        assert g.has_edge(0, 1)
+    def test_json_one_sided_adjacency_rejected(self):
+        with pytest.raises(InvalidParams, match="lists 1 as a neighbor of 0 but not 0 of 1"):
+            rio.graph_from_json({"n": 2, "adj": [[1], []]})
 
     @pytest.mark.parametrize(
         "read, data",

@@ -27,7 +27,7 @@ from recolor import (
     is_proper,
     mcs_peo,
     merge_by_coloring,
-    pipeline_bound,
+    per_vertex_bound,
     project_coloring,
     rt_distance,
     run_pipeline,
@@ -173,7 +173,8 @@ class TestPipeline:
         assert res.composed.start == alpha
         assert apply_sequence(g, res.composed).colors == beta.colors
         assert len(res.composed) >= rt_distance(g, 5, alpha, beta)
-        bound = pipeline_bound(td.width)
+        # one budget per side plus the two closing moves
+        bound = 2 * per_vertex_bound(td.width) + 2
         assert all(c <= bound for c in res.per_vertex.values())
 
     def test_bridge_none_returns_halves_only(self):
