@@ -48,17 +48,10 @@ from .engine import (
 )
 from .analysis import (
     AnalysisReport,
-    SaveInequalityResult,
     Violation,
     analyze_sequence,
-    check_causation,
-    check_revisit_spacing,
-    check_save_inequality,
-    check_tight_palette_coverage,
     naughty_recolorings,
     per_vertex_counts,
-    saved_steps,
-    tight_recolorings,
 )
 from .oracle import (
     DEFAULT_STATE_CAP,

@@ -1,31 +1,36 @@
 """Structural analysis of recoloring sequences.
 
-Everything here is a pure function of the sequence (usually of its
-restriction to a small vertex set), so detectors can be re-run on stored
-sequences without the graph state that produced them.  Indices returned
-by the detectors are positions inside the restriction they are defined
-over, not inside the full sequence, unless said otherwise.
+`analyze_sequence` is the one entry point for the paper's invariants of
+a walk (causation, revisit spacing, the save budget and tight palette
+coverage): it runs them all in one pass and decides which of them apply
+at the walk's palette.  Everything here is a pure function of the
+sequence, so stored sequences can be re-analyzed without the graph state
+that produced them.  Indices in a violation are positions inside the
+restriction it is defined over, not inside the full sequence.
 
 Conventions for a vertex v with earlier-neighbor set B, d = |B|:
   * restriction to B ∪ {v}: the subsequence of steps recoloring those
     vertices, with the start coloring kept whole for replaying colors.
-    Every per-vertex check reads it from `_restrictions`, which makes a
-    single pass over the walk for all the vertices asked about: each step
-    joins the restriction of its own vertex and of every vertex having it
-    in B.  It also returns the positions of v's own steps in the
-    restriction; detectors index that restriction, 0 being its first step;
+    `_restrictions` builds every vertex's restriction in a single pass
+    over the walk: each step joins the restriction of its own vertex and
+    of every vertex having it in B.  It also returns the positions of v's
+    own steps in the restriction, 0 being its first step;
   * a recoloring of v is "tight" when exactly d steps separate it from
-    the next recoloring of v inside that restriction;
+    the next recoloring of v inside that restriction; the last
+    recoloring of v is never tight;
   * a step recoloring a member of B is "saved" when it provably cannot
-    force an extra recoloring of v (three disjunctive conditions below);
-  * the budget inequality bounds v's recoloring count by the saved-
-    adjusted count of its earlier neighbors' recolorings.
+    force an extra recoloring of v: v untouched up to it, or untouched
+    from it on, or untouched in the d steps just before it (window
+    clamped at the start);
+  * the budget inequality bounds v's recoloring count by
+    1 + ceil((kappa - r) / d), kappa counting the recolorings of B and r
+    the saved ones among them (by 1 when B is empty).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .errors import NotAClique
 from .graphs import Coloring, EliminationOrdering, Graph
@@ -41,48 +46,36 @@ def per_vertex_counts(s: RecoloringSequence) -> dict[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# per-vertex detectors over the restriction to B ∪ {v}
+# per-vertex checks over the restriction to B ∪ {v}
 
 _Restriction = tuple[list[RecoloringStep], list[int]]
 
 
 def _restrictions(
-    s: RecoloringSequence, ordering: EliminationOrdering, vertices: Iterable[int]
-) -> dict[int, _Restriction]:
-    """Each listed vertex's restriction to B ∪ {v}, from one pass over s.
+    s: RecoloringSequence, ordering: EliminationOrdering
+) -> list[_Restriction]:
+    """Every vertex's restriction to B ∪ {v}, from one pass over s.
 
-    Maps v to (steps, pos): the steps of s recoloring v or one of its
+    Entry v is (steps, pos): the steps of s recoloring v or one of its
     earlier neighbors, in walk order (the step objects of s themselves),
     and the positions of v's own steps among them.
     """
-    out: dict[int, _Restriction] = {v: ([], []) for v in vertices}
-    watchers: dict[int, list[list[RecoloringStep]]] = {}
-    for v, (rsteps, _) in out.items():
-        for u in ordering.back_nbrs[v]:
-            watchers.setdefault(u, []).append(rsteps)
+    out: list[_Restriction] = [([], []) for _ in ordering.back_nbrs]
+    watchers: list[list[list[RecoloringStep]]] = [[] for _ in ordering.back_nbrs]
+    for (rsteps, _), back in zip(out, ordering.back_nbrs):
+        for u in back:
+            watchers[u].append(rsteps)
     for st in s.steps:
-        own = out.get(st.vertex)
-        if own is not None:
-            rsteps, pos = own
-            pos.append(len(rsteps))
-            rsteps.append(st)
-        for rsteps in watchers.get(st.vertex, ()):
+        rsteps, pos = out[st.vertex]
+        pos.append(len(rsteps))
+        rsteps.append(st)
+        for rsteps in watchers[st.vertex]:
             rsteps.append(st)
     return out
 
 
 def _tight(pos: Sequence[int], d: int) -> list[int]:
     return [p for p, q in zip(pos, pos[1:]) if q - p - 1 == d]
-
-
-def tight_recolorings(
-    s: RecoloringSequence, ordering: EliminationOrdering, v: int
-) -> list[int]:
-    """Positions (inside the restriction to earlier neighbors plus v) of
-    recolorings of v followed by the next one after exactly d other steps,
-    d being v's back-degree.  The last recoloring of v is never tight."""
-    _, pos = _restrictions(s, ordering, (v,))[v]
-    return _tight(pos, len(ordering.back_nbrs[v]))
 
 
 def _saved(rsteps: Sequence[RecoloringStep], pos: Sequence[int], d: int) -> list[int]:
@@ -96,54 +89,6 @@ def _saved(rsteps: Sequence[RecoloringStep], pos: Sequence[int], d: int) -> list
     return saved
 
 
-def saved_steps(
-    s: RecoloringSequence, ordering: EliminationOrdering, v: int
-) -> tuple[list[int], int]:
-    """Steps of v's earlier neighbors that cannot be charged a recoloring
-    of v: v untouched up to them, or untouched from them on, or untouched
-    in the d steps just before them (window clamped at the start).
-
-    Returns (positions inside the restriction, their count r).
-    """
-    rsteps, pos = _restrictions(s, ordering, (v,))[v]
-    idx = _saved(rsteps, pos, len(ordering.back_nbrs[v]))
-    return idx, len(idx)
-
-
-class SaveInequalityResult(NamedTuple):
-    passed: bool
-    count_v: int
-    kappa: int  # total recolorings of earlier neighbors
-    r: int  # saved among them
-    d: int
-    bound: int
-
-
-def _save_inequality(
-    rsteps: Sequence[RecoloringStep], pos: Sequence[int], d: int
-) -> SaveInequalityResult:
-    count_v = len(pos)
-    kappa = len(rsteps) - count_v
-    if d == 0:
-        return SaveInequalityResult(count_v <= 1, count_v, kappa, 0, 0, 1)
-    r = len(_saved(rsteps, pos, d))
-    bound = 1 + -((-(kappa - r)) // d)  # 1 + ceil((kappa - r) / d)
-    return SaveInequalityResult(count_v <= bound, count_v, kappa, r, d, bound)
-
-
-def check_save_inequality(
-    s: RecoloringSequence, ordering: EliminationOrdering, v: int
-) -> SaveInequalityResult:
-    """Budget check: v is recolored at most 1 + ceil((kappa - r) / d) times,
-    where kappa counts its earlier neighbors' recolorings and r the saved
-    ones among them.  With no earlier neighbors the bound is simply 1.
-
-    Like the spacing check, this is a guarantee of the construction only
-    when the palette has at least 2d+1 colors."""
-    rsteps, pos = _restrictions(s, ordering, (v,))[v]
-    return _save_inequality(rsteps, pos, len(ordering.back_nbrs[v]))
-
-
 @dataclass(frozen=True)
 class Violation:
     check: str
@@ -152,7 +97,27 @@ class Violation:
     note: str
 
 
+def _save_inequality(
+    rsteps: Sequence[RecoloringStep], pos: Sequence[int], v: int, d: int
+) -> tuple[int, list[Violation]]:
+    """The budget check: r, and a violation if v's recoloring count
+    exceeds its bound."""
+    count_v = len(pos)
+    kappa = len(rsteps) - count_v
+    if d == 0:
+        r, bound = 0, 1
+    else:
+        r = len(_saved(rsteps, pos, d))
+        bound = 1 + -((-(kappa - r)) // d)  # 1 + ceil((kappa - r) / d)
+    if count_v <= bound:
+        return r, []
+    note = f"{count_v} recolorings exceed bound {bound} (kappa={kappa}, r={r}, d={d})"
+    return r, [Violation("save-inequality", v, (), note)]
+
+
 def _revisit_spacing(pos: Sequence[int], v: int, d: int) -> list[Violation]:
+    """v is never recolored twice in a row, and a revisit after fewer than
+    d intervening steps may only be v's last recoloring."""
     out = []
     for p, q in zip(pos, pos[1:]):
         gap = q - p - 1
@@ -172,25 +137,11 @@ def _revisit_spacing(pos: Sequence[int], v: int, d: int) -> list[Violation]:
     return out
 
 
-def check_revisit_spacing(
-    s: RecoloringSequence, ordering: EliminationOrdering
-) -> list[Violation]:
-    """No vertex is ever recolored twice in a row within its restriction,
-    and a revisit after fewer than d intervening steps may only happen at
-    the vertex's last recoloring.
-
-    This is guaranteed for constructed sequences once the palette holds at
-    least 2d+1 colors for the vertex's back-degree d; below that the
-    flagged patterns can legitimately occur."""
-    out = []
-    for v, (_, pos) in _restrictions(s, ordering, range(len(ordering.rank))).items():
-        out.extend(_revisit_spacing(pos, v, len(ordering.back_nbrs[v])))
-    return out
-
-
 def _causation(
     rsteps: Sequence[RecoloringStep], pos: Sequence[int], start: Coloring, v: int
 ) -> list[Violation]:
+    """Every recoloring of v but its last is immediately followed, inside
+    the restriction, by an earlier neighbor taking v's old color."""
     # Every step of the restriction that is not v's recolors a member of B.
     out = []
     color = start[v]
@@ -206,17 +157,6 @@ def _causation(
     return out
 
 
-def check_causation(
-    s: RecoloringSequence, ordering: EliminationOrdering
-) -> list[Violation]:
-    """Every recoloring of v except its last must be immediately followed,
-    inside v's restriction, by an earlier neighbor taking v's old color."""
-    out = []
-    for v, (rsteps, pos) in _restrictions(s, ordering, range(len(ordering.rank))).items():
-        out.extend(_causation(rsteps, pos, s.start, v))
-    return out
-
-
 def _tight_palette_coverage(
     rsteps: Sequence[RecoloringStep],
     pos: Sequence[int],
@@ -225,8 +165,11 @@ def _tight_palette_coverage(
     back: Sequence[int],
     t: int,
 ) -> list[Violation]:
+    """At palette t = 2d+1, every tight recoloring of v sees the whole
+    palette: v's color before and after, B's colors before, and the d
+    intervening new colors.  A tight recoloring whose follower is the last
+    step of the restriction is exempt: the final move is a free choice."""
     d = len(back)
-    # a tight recoloring whose follower closes the restriction is exempt
     want = [p for p in _tight(pos, d) if p + d + 2 != len(rsteps)]
     if not want:
         return []
@@ -250,27 +193,6 @@ def _tight_palette_coverage(
                 )
             )
     return out
-
-
-def check_tight_palette_coverage(
-    s: RecoloringSequence, ordering: EliminationOrdering, v: int
-) -> list[Violation]:
-    """With palette exactly 2d+1 (d = v's back-degree), every tight
-    recoloring of v must see the whole palette: v's color before and
-    after, its earlier neighbors' colors before, and the d intervening
-    new colors together cover {1..2d+1}.
-
-    The one exception is a tight recoloring whose follower is the very
-    last step of the restriction, where the final move is a free choice.
-    """
-    back = ordering.back_nbrs[v]
-    d = len(back)
-    if s.palette_size != 2 * d + 1:
-        raise ValueError(
-            f"coverage check needs palette 2d+1 = {2 * d + 1}, got {s.palette_size}"
-        )
-    rsteps, pos = _restrictions(s, ordering, (v,))[v]
-    return _tight_palette_coverage(rsteps, pos, s.start, v, back, s.palette_size)
 
 
 def _rotating(hist: Sequence[int]) -> list[int]:
@@ -393,8 +315,8 @@ def analyze_sequence(
     tight_total = 0
     saved_total = 0
     rotating_total = 0
-    restrictions = _restrictions(s, ordering, range(g.n))
-    for v, (rsteps, pos) in restrictions.items():
+    restrictions = _restrictions(s, ordering)
+    for v, (rsteps, pos) in enumerate(restrictions):
         back = ordering.back_nbrs[v]
         d = len(back)
         tight_total += len(_tight(pos, d))
@@ -404,16 +326,9 @@ def analyze_sequence(
         # room beside the back-clique: t >= 2d+1 for this vertex's d.
         if t >= 2 * d + 1:
             violations.extend(_revisit_spacing(pos, v, d))
-            res = _save_inequality(rsteps, pos, d)
-            saved_total += res.r
-            if not res.passed:
-                violations.append(
-                    Violation(
-                        "save-inequality", v, (),
-                        f"{res.count_v} recolorings exceed bound {res.bound} "
-                        f"(kappa={res.kappa}, r={res.r}, d={res.d})",
-                    )
-                )
+            r, over = _save_inequality(rsteps, pos, v, d)
+            saved_total += r
+            violations.extend(over)
         if d == dmax and t == 2 * d + 1:
             violations.extend(_tight_palette_coverage(rsteps, pos, s.start, v, back, t))
         hist = [s.start[v], *(rsteps[p].new_color for p in pos)]

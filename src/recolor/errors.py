@@ -118,10 +118,11 @@ class InvalidQuotientSequence(RecolorError):
 class StateCapExceeded(RecolorError):
     """The implicit state space is larger than the configured cap."""
 
-    def __init__(self, size: int, cap: int):
-        self.size = size
+    def __init__(self, t: int, n: int, cap: int):
+        self.t = t
+        self.n = n
         self.cap = cap
-        super().__init__(f"state space size {size} exceeds cap {cap}")
+        super().__init__(f"state space {t}**{n} exceeds cap {cap}")
 
 
 class OracleInfeasible(RecolorError):

@@ -23,9 +23,14 @@ DEFAULT_STATE_CAP = 2_000_000
 
 
 def _check_cap(g: Graph, t: int, state_cap: int) -> None:
-    size = t**g.n
+    # t**n has n*log10(t) digits: multiply only until the cap is passed
+    size = 1
+    for _ in range(g.n):
+        if size > state_cap:
+            break
+        size *= t
     if size > state_cap:
-        raise StateCapExceeded(size, state_cap)
+        raise StateCapExceeded(t, g.n, state_cap)
 
 
 def enumerate_colorings(

@@ -1,7 +1,7 @@
-"""Reference implementations of the per-vertex analysis: the detectors
-over v's restriction to back(v) ∪ {v} as they were before the library
-built every restriction in one pass over the walk.  The library's
-versions are differential-tested against these.
+"""Reference implementation of `analyze_sequence`: the detectors over
+v's restriction to back(v) ∪ {v} as they were before the library built
+every restriction in one pass over the walk.  The library's report is
+differential-tested against this one.
 
 Here each restriction is rebuilt for one vertex at a time: the steps of
 every member are collected by index, merged by sorting, and copied into
@@ -13,7 +13,7 @@ new step objects; each detector then finds v's own positions again.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from recolor import (
     AnalysisReport,
@@ -22,7 +22,6 @@ from recolor import (
     Graph,
     RecoloringSequence,
     RecoloringStep,
-    SaveInequalityResult,
     Violation,
     naughty_recolorings,
     per_vertex_counts,
@@ -55,12 +54,6 @@ def _tight(rsteps: Sequence[RecoloringStep], v: int, d: int) -> list[int]:
     return [pos[j] for j in range(len(pos) - 1) if pos[j + 1] - pos[j] - 1 == d]
 
 
-def tight_recolorings(
-    s: RecoloringSequence, g: Graph, ordering: EliminationOrdering, v: int
-) -> list[int]:
-    b = ordering.back_nbrs[v]
-    rsteps = _restriction_steps(_steps_by_vertex(s), (*b, v))
-    return _tight(rsteps, v, len(b))
 
 
 def _saved(rsteps: Sequence[RecoloringStep], v: int, d: int) -> list[int]:
@@ -83,33 +76,27 @@ def _saved(rsteps: Sequence[RecoloringStep], v: int, d: int) -> list[int]:
     return saved
 
 
-def saved_steps(
-    s: RecoloringSequence, g: Graph, ordering: EliminationOrdering, v: int
-) -> tuple[list[int], int]:
-    b = ordering.back_nbrs[v]
-    rsteps = _restriction_steps(_steps_by_vertex(s), (*b, v))
-    idx = _saved(rsteps, v, len(b))
-    return idx, len(idx)
 
 
-def _save_inequality(
-    rsteps: Sequence[RecoloringStep], v: int, d: int
-) -> SaveInequalityResult:
+class _Budget(NamedTuple):
+    passed: bool
+    count_v: int
+    kappa: int  # total recolorings of earlier neighbors
+    r: int  # saved among them
+    d: int
+    bound: int
+
+
+def _save_inequality(rsteps: Sequence[RecoloringStep], v: int, d: int) -> _Budget:
     count_v = sum(1 for st in rsteps if st.vertex == v)
     kappa = len(rsteps) - count_v
     if d == 0:
-        return SaveInequalityResult(count_v <= 1, count_v, kappa, 0, 0, 1)
+        return _Budget(count_v <= 1, count_v, kappa, 0, 0, 1)
     r = len(_saved(rsteps, v, d))
     bound = 1 + -((-(kappa - r)) // d)  # 1 + ceil((kappa - r) / d)
-    return SaveInequalityResult(count_v <= bound, count_v, kappa, r, d, bound)
+    return _Budget(count_v <= bound, count_v, kappa, r, d, bound)
 
 
-def check_save_inequality(
-    s: RecoloringSequence, g: Graph, ordering: EliminationOrdering, v: int
-) -> SaveInequalityResult:
-    b = ordering.back_nbrs[v]
-    rsteps = _restriction_steps(_steps_by_vertex(s), (*b, v))
-    return _save_inequality(rsteps, v, len(b))
 
 
 def _revisit_spacing(
@@ -136,16 +123,6 @@ def _revisit_spacing(
     return out
 
 
-def check_revisit_spacing(
-    s: RecoloringSequence, g: Graph, ordering: EliminationOrdering
-) -> list[Violation]:
-    by = _steps_by_vertex(s)
-    out = []
-    for v in range(g.n):
-        b = ordering.back_nbrs[v]
-        rsteps = _restriction_steps(by, (*b, v))
-        out.extend(_revisit_spacing(rsteps, v, len(b)))
-    return out
 
 
 def _causation(
@@ -168,16 +145,6 @@ def _causation(
     return out
 
 
-def check_causation(
-    s: RecoloringSequence, g: Graph, ordering: EliminationOrdering
-) -> list[Violation]:
-    by = _steps_by_vertex(s)
-    out = []
-    for v in range(g.n):
-        b = ordering.back_nbrs[v]
-        rsteps = _restriction_steps(by, (*b, v))
-        out.extend(_causation(rsteps, s.start, v, frozenset(b)))
-    return out
 
 
 def _tight_palette_coverage(
@@ -220,17 +187,6 @@ def _tight_palette_coverage(
     return out
 
 
-def check_tight_palette_coverage(
-    s: RecoloringSequence, g: Graph, ordering: EliminationOrdering, v: int
-) -> list[Violation]:
-    back = ordering.back_nbrs[v]
-    d = len(back)
-    if s.palette_size != 2 * d + 1:
-        raise ValueError(
-            f"coverage check needs palette 2d+1 = {2 * d + 1}, got {s.palette_size}"
-        )
-    rsteps = _restriction_steps(_steps_by_vertex(s), (*back, v))
-    return _tight_palette_coverage(rsteps, s.start, v, back, s.palette_size)
 
 
 def _rotating(own: Sequence[tuple[int, int]], start_color: int) -> list[int]:

@@ -15,15 +15,9 @@ from recolor import (
     analyze_sequence,
     apply_sequence,
     best_choice_sequence,
-    check_causation,
-    check_revisit_spacing,
-    check_save_inequality,
-    check_tight_palette_coverage,
     naughty_recolorings,
     per_vertex_bound,
     per_vertex_counts,
-    saved_steps,
-    tight_recolorings,
 )
 from strategies import engine_cases
 
@@ -49,99 +43,111 @@ class TestBasics:
         assert per_vertex_counts(worked_trace()) == {0: 1, 1: 2, 2: 1}
 
 
+def found(s, check, g=P3, o=O3):
+    """The `check` violations that analyze_sequence reports on s."""
+    rep = analyze_sequence(g, o, s)
+    return [(w.check, w.vertex, w.indices) for w in rep.violations if w.check == check]
+
+
 class TestTightAndSaved:
     def test_tight_on_worked_trace(self):
-        assert tight_recolorings(worked_trace(), O3, 1) == [0]
-        assert tight_recolorings(worked_trace(), O3, 2) == []
+        # vertex 1's first recoloring is tight, vertex 2's only one is not
+        assert analyze_sequence(P3, O3, worked_trace()).stats["tight"] == 1
 
     def test_tight_with_two_intervening(self):
         s = seq([(2, 4), (0, 3), (1, 5), (2, 1)], (1, 2, 3), 5)
         apply_sequence(K3, s)
-        assert tight_recolorings(s, OK3, 2) == [0]
+        assert analyze_sequence(K3, OK3, s).stats["tight"] == 1
 
     def test_saved_on_worked_trace(self):
-        assert saved_steps(worked_trace(), O3, 1) == ([], 0)
-        assert saved_steps(worked_trace(), O3, 2) == ([0, 2], 2)
+        # both of vertex 1's steps are saved for vertex 2, none for vertex 1
+        assert analyze_sequence(P3, O3, worked_trace()).stats["saved"] == 2
 
     def test_save_inequality_on_worked_trace(self):
-        r1 = check_save_inequality(worked_trace(), O3, 1)
-        assert r1 == (True, 2, 1, 0, 1, 2)
-        r2 = check_save_inequality(worked_trace(), O3, 2)
-        assert r2 == (True, 1, 2, 2, 1, 1)
-        r0 = check_save_inequality(worked_trace(), O3, 0)
-        assert r0.passed and r0.bound == 1 and r0.d == 0
+        assert found(worked_trace(), "save-inequality") == []
+        # with no saved step, 3 recolorings of v exceed 1 + ceil(1 / 1)
+        s = seq([(1, 3), (0, 3), (1, 1), (1, 2)], (1, 2, 1), 3)
+        rep = analyze_sequence(P3, O3, s)
+        over = [w for w in rep.violations if w.check == "save-inequality"]
+        assert [(w.vertex, w.note) for w in over] == [
+            (1, "3 recolorings exceed bound 2 (kappa=1, r=0, d=1)")
+        ]
+        # with no earlier neighbor the bound is 1
+        g = Graph(2, [])
+        s = seq([(0, 2), (0, 3)], (1, 1), 3)
+        rep = analyze_sequence(g, EliminationOrdering.from_order(g, (0, 1)), s)
+        over = [w for w in rep.violations if w.check == "save-inequality"]
+        assert [(w.vertex, w.note) for w in over] == [
+            (0, "2 recolorings exceed bound 1 (kappa=0, r=0, d=0)")
+        ]
 
     @given(engine_cases(max_n=10, tight_palette=True))
     @settings(max_examples=50, deadline=None)
     def test_save_inequality_holds_at_tight_palette(self, case):
         g, ordering, t, alpha, beta = case
         s = best_choice_sequence(g, ordering, alpha, beta)
-        for v in range(g.n):
-            assert check_save_inequality(s, ordering, v).passed
+        assert found(s, "save-inequality", g, ordering) == []
 
 
 class TestSpacingAndCausation:
     def test_worked_trace_is_clean(self):
-        assert check_revisit_spacing(worked_trace(), O3) == []
-        assert check_causation(worked_trace(), O3) == []
+        assert found(worked_trace(), "revisit-spacing") == []
+        assert found(worked_trace(), "causation") == []
 
     def test_back_to_back_recoloring_flagged(self):
         g = Graph(2, [])
         o = EliminationOrdering.from_order(g, (0, 1))
         s = seq([(0, 2), (0, 3)], (1, 1), 3)
-        out = check_revisit_spacing(s, o)
-        assert len(out) == 1
-        assert out[0].check == "revisit-spacing"
-        assert out[0].vertex == 0 and out[0].indices == (0, 1)
+        assert found(s, "revisit-spacing", g, o) == [("revisit-spacing", 0, (0, 1))]
 
     def test_close_revisit_flagged_unless_last(self):
         s = seq([(2, 4), (0, 3), (2, 5), (1, 4), (2, 1)], (1, 2, 3), 5)
         apply_sequence(K3, s)
-        out = check_revisit_spacing(s, OK3)
-        assert [(v.vertex, v.indices) for v in out] == [(2, (0, 2))]
+        assert found(s, "revisit-spacing", K3, OK3) == [("revisit-spacing", 2, (0, 2))]
 
     def test_uncaused_nonfinal_recoloring_flagged(self):
         g = Graph(2, [(0, 1)])
         o = EliminationOrdering.from_order(g, (0, 1))
         s = seq([(1, 3), (0, 4), (1, 2)], (1, 2), 4)
         apply_sequence(g, s)
-        out = check_causation(s, o)
-        assert [(v.check, v.vertex, v.indices) for v in out] == [("causation", 1, (0,))]
+        assert found(s, "causation", g, o) == [("causation", 1, (0,))]
 
     @given(engine_cases(max_n=10))
     @settings(max_examples=50, deadline=None)
     def test_causation_holds_at_any_palette(self, case):
         g, ordering, t, alpha, beta = case
         s = best_choice_sequence(g, ordering, alpha, beta)
-        assert check_causation(s, ordering) == []
+        assert found(s, "causation", g, ordering) == []
 
     @given(engine_cases(max_n=10, tight_palette=True))
     @settings(max_examples=50, deadline=None)
     def test_spacing_holds_at_tight_palette(self, case):
         g, ordering, t, alpha, beta = case
         s = best_choice_sequence(g, ordering, alpha, beta)
-        assert check_revisit_spacing(s, ordering) == []
+        assert found(s, "revisit-spacing", g, ordering) == []
 
 
 class TestTightCoverage:
+    # Structural checks only: the restrictions need not be replayable.
+    G = Graph(3, [(0, 1)])
+    O = EliminationOrdering.from_order(G, (0, 1, 2))
+    STEPS = [(1, 3), (0, 2), (1, 1), (0, 1)]
+
     def test_worked_trace_exempt_final_follower(self):
-        assert check_tight_palette_coverage(worked_trace(), O3, 1) == []
+        assert found(worked_trace(), "tight-coverage") == []
 
     def test_missing_color_flagged(self):
-        # Structural check only: the restriction need not be replayable.
-        g = Graph(3, [(0, 1)])
-        o = EliminationOrdering.from_order(g, (0, 1, 2))
-        s = seq([(1, 3), (0, 2), (1, 1), (0, 1)], (3, 2, 1), 3)
-        out = check_tight_palette_coverage(s, o, 1)
+        rep = analyze_sequence(self.G, self.O, seq(self.STEPS, (3, 2, 1), 3))
+        out = [w for w in rep.violations if w.check == "tight-coverage"]
         assert len(out) == 1
-        assert out[0].check == "tight-coverage"
-        assert out[0].indices == (0,)
+        assert out[0].vertex == 1 and out[0].indices == (0,)
         assert "[1]" in out[0].note
 
-    def test_wrong_palette_rejected(self):
-        s = seq([(1, 3)], (1, 2, 1), 4)
-        with pytest.raises(ValueError):
-            check_tight_palette_coverage(s, O3, 1)
+    def test_coverage_skipped_off_tight_palette(self):
+        # coverage is a guarantee at palette exactly 2d+1 only
+        s = seq(self.STEPS, (3, 2, 1), 4)
+        assert found(s, "tight-coverage", self.G, self.O) == []
+
 
 
 class TestRotating:

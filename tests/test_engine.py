@@ -196,6 +196,13 @@ class TestBestChoiceSequence:
         with pytest.raises(ImproperInput):
             best_choice_sequence(g, o, Coloring((1, 1, 2), 3), Coloring((2, 1, 2), 3))
 
+    def test_short_alpha_rejected_before_construction(self):
+        # the entry check is the only length check before alpha[v] is read
+        g = p3()
+        o = EliminationOrdering.from_order(g, (0, 1, 2))
+        with pytest.raises(ValueError, match="^coloring covers 2 vertices, graph has 3$"):
+            best_choice_sequence(g, o, Coloring((1, 2), 3), Coloring((2, 1, 2), 3))
+
     @given(engine_cases())
     @settings(max_examples=60, deadline=None)
     def test_never_fails_and_reaches_target(self, case):

@@ -249,6 +249,15 @@ class TestCli:
         assert code == 0
         assert stdout == "vertex,count\n0,1\n1,2\n2,1\n"
 
+    def test_recolor_short_alpha_is_bad_input(self, tmp_path, capsys):
+        g, _, b = self.write_p3(tmp_path)
+        code, out, err = self.run(
+            capsys, "recolor", "--graph", g, "--t", "3", "--alpha", "[1, 2]", "--beta", b
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: ValueError: coloring covers 2 vertices, graph has 3\n"
+
     def test_gen_text_format_writes_edge_list(self, tmp_path, capsys):
         out = tmp_path / "g.txt"
         code, stdout, _ = self.run(
@@ -400,6 +409,14 @@ class TestCli:
             "--state-cap", "100",
         )
         assert code == 3
+
+    def test_oracle_cap_on_a_huge_space(self, tmp_path, capsys):
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps({"n": 7000, "edges": []}))
+        code, out, err = self.run(capsys, "oracle", "connected", "--graph", str(g), "--t", "5")
+        assert code == 3
+        assert out == ""
+        assert err == "error: state space 5**7000 exceeds cap 2000000\n"
 
     def run_c4_pipeline(self, tmp_path, capsys, bags):
         g = tmp_path / "c4.json"

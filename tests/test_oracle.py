@@ -53,6 +53,11 @@ class TestEnumeration:
         with pytest.raises(StateCapExceeded):
             enumerate_colorings(Graph(30, []), 5, state_cap=1000)
 
+    def test_cap_refuses_a_huge_space_by_its_exponent(self):
+        # 5**7000 has 4893 digits, more than int-to-str conversion allows
+        with pytest.raises(StateCapExceeded, match=r"^state space 5\*\*7000 exceeds cap 2000000$"):
+            enumerate_colorings(Graph(7000, []), 5)
+
 
 class TestDistanceAndPath:
     def test_worked_example_distance(self):

@@ -16,29 +16,28 @@ PACKAGE_DIR = Path(recolor.__file__).parent
 MODULES = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py")
 
 PUBLIC_NAMES = [
-    "AnalysisReport", "Coloring", "DEFAULT_STATE_CAP", "DecompositionError",
-    "DisconnectedTrace", "EliminationOrdering", "EmptyValidSet",
-    "ExperimentConfig", "ExperimentRow", "Graph", "ImproperEndpoint",
-    "ImproperInput", "ImproperIntermediate", "InvalidParams",
-    "InvalidQuotientSequence", "MergeMap", "MergeResult", "NotAClique",
-    "NotChordal", "NullStep", "OracleInfeasible", "PaletteExhausted",
-    "PaletteViolation", "PipelineResult", "RecolorError",
-    "RecoloringSequence", "RecoloringStep", "SaveInequalityResult",
+    "AnalysisReport", "Coloring", "DEFAULT_STATE_CAP",
+    "DecompositionError", "DisconnectedTrace", "EliminationOrdering",
+    "EmptyValidSet", "ExperimentConfig", "ExperimentRow", "Graph",
+    "ImproperEndpoint", "ImproperInput", "ImproperIntermediate",
+    "InvalidParams", "InvalidQuotientSequence", "MergeMap", "MergeResult",
+    "NotAClique", "NotChordal", "NullStep", "OracleInfeasible",
+    "PaletteExhausted", "PaletteViolation", "PipelineResult",
+    "RecolorError", "RecoloringSequence", "RecoloringStep",
     "StateCapExceeded", "TreeDecomposition", "UncoveredEdge",
     "UncoveredVertex", "Violation", "analysis", "analyze_sequence",
     "apply_sequence", "best_choice_sequence", "certify_perfect",
-    "check_causation", "check_revisit_spacing", "check_save_inequality",
-    "check_tight_palette_coverage", "degeneracy", "engine",
-    "enumerate_colorings", "errors", "expand_sequence", "experiment",
-    "frozen_states", "gen_chordal", "gen_instance", "gen_ktree",
-    "gen_partial_ktree", "gen_random_coloring", "generators", "graphs",
-    "greedy_color", "is_proper", "iter_colorings", "local_best_choice",
-    "mcs_peo", "merge_by_coloring", "naughty_recolorings", "oracle",
+    "degeneracy", "engine", "enumerate_colorings", "errors",
+    "expand_sequence", "experiment", "frozen_states", "gen_chordal",
+    "gen_instance", "gen_ktree", "gen_partial_ktree",
+    "gen_random_coloring", "generators", "graphs", "greedy_color",
+    "is_proper", "iter_colorings", "local_best_choice", "mcs_peo",
+    "merge_by_coloring", "naughty_recolorings", "oracle",
     "per_vertex_bound", "per_vertex_counts", "project_coloring",
     "resolve_t_rule", "reverse_sequence", "rows_to_csv", "rows_to_json",
     "rt_connected", "rt_diameter", "rt_distance", "rt_path",
-    "run_experiment", "run_pipeline", "saved_steps", "select_best_choice",
-    "tight_recolorings", "treewidth", "validate_decomposition",
+    "run_experiment", "run_pipeline", "select_best_choice", "treewidth",
+    "validate_decomposition",
 ]
 
 

@@ -199,6 +199,14 @@ class TestPipeline:
         with pytest.raises(OracleInfeasible):
             run_pipeline(g, td, alpha, beta, 5, state_cap=10)
 
+    def test_huge_state_space_surfaces_as_infeasible(self):
+        n = 7000
+        td = TreeDecomposition.make([[v] for v in range(n)], [(v, v + 1) for v in range(n - 1)])
+        alpha = Coloring((1,) * n, 5)
+        beta = Coloring((2,) * n, 5)
+        with pytest.raises(OracleInfeasible, match=r"5\*\*7000"):
+            run_pipeline(Graph(n, []), td, alpha, beta, 5, bridge="oracle")
+
     def test_result_serializes(self):
         g, td = c4(), c4_td()
         res = run_pipeline(g, td, Coloring((1, 2, 1, 2), 5), Coloring((2, 1, 2, 1), 5), 5)
