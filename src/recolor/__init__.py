@@ -15,7 +15,6 @@ from .errors import (
     ImproperInput,
     ImproperIntermediate,
     InvalidParams,
-    InvalidQuotientSequence,
     NotAClique,
     NotChordal,
     NullStep,

@@ -203,6 +203,15 @@ def _rotating(hist: Sequence[int]) -> list[int]:
     return [j - 1 for j in range(1, len(hist) - 2) if hist[j + 2] == hist[j - 1]]
 
 
+def _clique_ids(clique_x: Iterable[int], n: int) -> list[int]:
+    """X's distinct ids, ascending; ValueError names one outside 0..n-1."""
+    xs = sorted(set(clique_x))
+    for x in xs:
+        if not 0 <= x < n:
+            raise ValueError(f"clique vertex {x} outside 0..{n - 1}")
+    return xs
+
+
 def naughty_recolorings(
     s: RecoloringSequence, g: Graph, clique_x: Iterable[int]
 ) -> list[int]:
@@ -216,7 +225,7 @@ def naughty_recolorings(
 
     Windows are clamped at the tail.  X's colors are replayed from s.start.
     """
-    xs = sorted(set(clique_x))
+    xs = _clique_ids(clique_x, g.n)
     for i in range(len(xs)):
         for j in range(i + 1, len(xs)):
             if xs[j] not in g.adj[xs[i]]:
@@ -340,13 +349,14 @@ def analyze_sequence(
     }
     if naughty_cliques is not None:
         naughty_counts = []
-        for x in map(tuple, naughty_cliques):
+        for x in naughty_cliques:
+            xs = _clique_ids(x, g.n)
             # The other members of a clique X are earlier neighbors of its
             # latest member, whose restriction therefore holds X's steps.
-            latest = max(x, key=ordering.rank.__getitem__, default=None)
-            rsteps = restrictions[latest][0] if x else []
+            latest = max(xs, key=ordering.rank.__getitem__, default=None)
+            rsteps = restrictions[latest][0] if xs else []
             rx = RecoloringSequence(tuple(rsteps), s.start)
-            naughty_counts.append(len(naughty_recolorings(rx, g, x)))
+            naughty_counts.append(len(naughty_recolorings(rx, g, xs)))
         stats["naughty_max"] = max(naughty_counts, default=0)
         stats["naughty_cliques"] = len(naughty_counts)
     return AnalysisReport(

@@ -111,10 +111,6 @@ class DisconnectedTrace(DecompositionError):
         super().__init__(f"bags containing vertex {vertex} do not form a subtree")
 
 
-class InvalidQuotientSequence(RecolorError):
-    """A sequence on the quotient graph failed validation before expansion."""
-
-
 class StateCapExceeded(RecolorError):
     """The implicit state space is larger than the configured cap."""
 

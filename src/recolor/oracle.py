@@ -3,7 +3,7 @@
 States are the proper t-colorings of a graph; two states are adjacent when
 they differ on exactly one vertex.  Everything here enumerates or searches
 that space directly, so it only works at desk scale: every call first
-checks t**n against a state cap and refuses beyond it.
+rejects t < 1 and checks t**n against a state cap, refusing beyond it.
 
 Used as ground truth for distances, connectivity and diameter, and as the
 middle leg of the treewidth pipeline.
@@ -15,7 +15,7 @@ import math
 from collections import deque
 from typing import Iterator
 
-from .errors import ImproperInput, StateCapExceeded
+from .errors import ImproperInput, InvalidParams, StateCapExceeded
 from .graphs import Coloring, Graph, is_proper
 from .engine import RecoloringSequence, RecoloringStep
 
@@ -23,6 +23,8 @@ DEFAULT_STATE_CAP = 2_000_000
 
 
 def _check_cap(g: Graph, t: int, state_cap: int) -> None:
+    if t < 1:
+        raise InvalidParams(f"palette t must be at least 1, got {t}")
     # t**n has n*log10(t) digits: multiply only until the cap is passed
     size = 1
     for _ in range(g.n):

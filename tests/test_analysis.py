@@ -194,6 +194,16 @@ class TestNaughty:
         with pytest.raises(NotAClique):
             naughty_recolorings(s, self.G, [0, 2])
 
+    @pytest.mark.parametrize("v", [-1, 3])
+    def test_clique_id_out_of_range_rejected(self, v):
+        s = seq([(0, 3), (2, 4)], (1, 2, 7), 7)
+        match = rf"^clique vertex {v} outside 0\.\.2$"
+        with pytest.raises(ValueError, match=match):
+            naughty_recolorings(s, self.G, [v])
+        order = EliminationOrdering.from_order(self.G, (0, 1, 2))
+        with pytest.raises(ValueError, match=match):
+            analyze_sequence(self.G, order, s, naughty_cliques=[(v,)])
+
 
 class TestBounds:
     def test_frozen_values(self):

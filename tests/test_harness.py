@@ -401,6 +401,15 @@ class TestCli:
         assert stdout == ""
         assert err == "error: InvalidParams: distance needs --from and --to\n"
 
+    @pytest.mark.parametrize("query,t", [("connected", "0"), ("diameter", "-1")])
+    def test_oracle_palette_below_one_exit_code(self, tmp_path, capsys, query, t):
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps({"n": 20, "edges": []}))
+        code, out, err = self.run(capsys, "oracle", query, "--graph", str(g), "--t", t)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: InvalidParams: palette t must be at least 1, got {t}\n"
+
     def test_oracle_cap_exit_code(self, tmp_path, capsys):
         g = tmp_path / "g.json"
         g.write_text(json.dumps({"n": 20, "edges": []}))

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from recolor import (
     Coloring,
     Graph,
+    InvalidParams,
     StateCapExceeded,
     apply_sequence,
     enumerate_colorings,
@@ -52,6 +53,11 @@ class TestEnumeration:
     def test_cap_enforced(self):
         with pytest.raises(StateCapExceeded):
             enumerate_colorings(Graph(30, []), 5, state_cap=1000)
+
+    @pytest.mark.parametrize("t", [0, -1])
+    def test_palette_below_one_rejected(self, t):
+        with pytest.raises(InvalidParams, match=rf"^palette t must be at least 1, got {t}$"):
+            enumerate_colorings(p3(), t)
 
     def test_cap_refuses_a_huge_space_by_its_exponent(self):
         # 5**7000 has 4893 digits, more than int-to-str conversion allows

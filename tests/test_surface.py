@@ -20,7 +20,7 @@ PUBLIC_NAMES = [
     "DecompositionError", "DisconnectedTrace", "EliminationOrdering",
     "EmptyValidSet", "ExperimentConfig", "ExperimentRow", "Graph",
     "ImproperEndpoint", "ImproperInput", "ImproperIntermediate",
-    "InvalidParams", "InvalidQuotientSequence", "MergeMap", "MergeResult",
+    "InvalidParams", "MergeMap", "MergeResult",
     "NotAClique", "NotChordal", "NullStep", "OracleInfeasible",
     "PaletteExhausted", "PaletteViolation", "PipelineResult",
     "RecolorError", "RecoloringSequence", "RecoloringStep",

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import sys
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import recolor
 from recolor import (
     Coloring,
     DisconnectedTrace,
     Graph,
     ImproperInput,
-    InvalidQuotientSequence,
     OracleInfeasible,
     RecoloringSequence,
     RecoloringStep,
@@ -148,19 +151,12 @@ class TestProjectAndExpand:
 
     def test_expand_replays_fibers_in_order(self):
         g, td = c4(), c4_td()
-        g2, mm, alpha2, _ = merge_by_coloring(g, td, Coloring((1, 2, 1, 2), 5))
+        _, mm, alpha2, _ = merge_by_coloring(g, td, Coloring((1, 2, 1, 2), 5))
         s2 = RecoloringSequence((RecoloringStep(0, 3),), alpha2)
-        s = expand_sequence(g2, mm, s2)
+        s = expand_sequence(mm, s2)
         assert [(st.vertex, st.new_color) for st in s.steps] == [(0, 3), (2, 3)]
         assert s.start.colors == (1, 2, 1, 2)
         assert apply_sequence(g, s).colors == (3, 2, 3, 2)
-
-    def test_invalid_quotient_sequence_rejected(self):
-        g, td = c4(), c4_td()
-        g2, mm, alpha2, _ = merge_by_coloring(g, td, Coloring((1, 2, 1, 2), 5))
-        bad = RecoloringSequence((RecoloringStep(0, 1),), alpha2)
-        with pytest.raises(InvalidQuotientSequence):
-            expand_sequence(g2, mm, bad)
 
 
 class TestPipeline:
@@ -226,3 +222,60 @@ class TestPipeline:
         beta = gen_random_coloring(g, o, 5, seed + 2)
         res = run_pipeline(g, td, alpha, beta, 5)
         assert apply_sequence(g, res.composed).colors == beta.colors
+
+    @given(
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=4, max_value=60),
+        st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_expanded_halves_replay_to_small_colorings(self, k, n, seed):
+        # expand_sequence trusts its quotient walk; check the halves it
+        # returns on the original graph instead
+        g, td = gen_partial_ktree(n, k, seed)
+        _, o = degeneracy(g)
+        t = 2 * k + 1
+        alpha = gen_random_coloring(g, o, t, seed + 1)
+        beta = gen_random_coloring(g, o, t, seed + 2)
+        res = run_pipeline(g, td, alpha, beta, t, bridge="none")
+        counts = Counter()
+        for side, start, gamma in (
+            (res.alpha_side, alpha, res.gamma1), (res.beta_side, beta, res.gamma2)
+        ):
+            assert side.start.colors == start.colors
+            assert apply_sequence(g, side).colors == gamma.colors
+            assert len(set(gamma.colors)) <= k + 1
+            counts.update(st.vertex for st in side.steps)
+        assert res.per_vertex == {v: counts[v] for v in range(g.n)}
+
+
+def _count_calls(monkeypatch, fn):
+    """Replace fn at every binding in the package by a counting wrapper;
+    returns the list that grows by one entry per call."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return fn(*args, **kwargs)
+
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "recolor"]
+    for mod in modules:
+        for name, value in list(vars(mod).items()):
+            if value is fn:
+                monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_pipeline_checks_each_coloring_and_replays_each_walk_once(monkeypatch):
+    g, td = gen_partial_ktree(30, 2, 3)
+    _, o = degeneracy(g)
+    alpha = gen_random_coloring(g, o, 5, 4)
+    beta = gen_random_coloring(g, o, 5, 5)
+    proper = _count_calls(monkeypatch, recolor.graphs.is_proper)
+    replays = _count_calls(monkeypatch, recolor.engine.apply_sequence)
+    run_pipeline(g, td, alpha, beta, 5, bridge="none")
+    # each merge checks its input coloring; each half's best_choice_sequence
+    # checks both endpoints and replays its quotient walk, which checks the
+    # start once more
+    assert len(proper) == 2 + 2 * 3
+    assert len(replays) == 2
