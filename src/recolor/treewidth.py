@@ -294,6 +294,14 @@ def run_pipeline(
     k = td.width
     if t < 2 * k + 1:
         raise ValueError(f"palette {t} too small for width {k}; need >= {2 * k + 1}")
+    if bridge == "oracle":
+        # refuse an oracle bridge over the cap before building the halves
+        try:
+            _oracle._check_cap(g, t, state_cap)
+        except StateCapExceeded as e:
+            raise OracleInfeasible(str(e)) from e
+    elif bridge != "none":
+        raise ValueError(f"unknown bridge {bridge!r}")
     alpha_side, gamma1 = _half_sequence(alpha_merged, k, t)
     beta_side, gamma2 = _half_sequence(beta_merged, k, t)
 
@@ -301,11 +309,8 @@ def run_pipeline(
         mid = composed = None
         status = "unavailable"
         steps = alpha_side.steps + beta_side.steps
-    elif bridge == "oracle":
-        try:
-            mid = _oracle.rt_path(g, t, gamma1, gamma2, state_cap)
-        except StateCapExceeded as e:
-            raise OracleInfeasible(str(e)) from e
+    else:
+        mid = _oracle.rt_path(g, t, gamma1, gamma2, state_cap)
         if mid is None:
             raise OracleInfeasible("no walk between the two greedy colorings")
         composed_steps = (
@@ -317,8 +322,6 @@ def run_pipeline(
             raise RecolorError("composed sequence does not end at beta")
         status = "oracle"
         steps = composed.steps
-    else:
-        raise ValueError(f"unknown bridge {bridge!r}")
     per_vertex = {v: 0 for v in range(g.n)}
     for st in steps:
         per_vertex[st.vertex] += 1

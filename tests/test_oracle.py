@@ -73,6 +73,30 @@ class TestDistanceAndPath:
     def test_distance_zero(self):
         a = Coloring((1, 2, 1), 3)
         assert rt_distance(p3(), 3, a, a) == 0
+        assert rt_path(p3(), 3, a, a).steps == ()
+
+    def test_empty_graph(self):
+        g, a = Graph(0, []), Coloring((), 3)
+        assert rt_distance(g, 3, a, a) == 0
+        s = rt_path(g, 3, a, a)
+        assert s.steps == ()
+        assert s.start == a
+
+    def test_frozen_component_runs_out_before_meeting(self):
+        # the K3 is frozen at t=3, so each end reaches only the 6 colorings
+        # of its K2
+        g = Graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
+        a = Coloring((1, 2, 3, 1, 2), 3)
+        b = Coloring((2, 1, 3, 2, 1), 3)
+        for x, y in ((a, b), (b, a)):
+            assert rt_distance(g, 3, x, y) is None
+            assert rt_path(g, 3, x, y) is None
+
+    def test_path_takes_the_first_shortest_walk(self):
+        # (1,3), (2,2), (0,2), (1,1) is as short; moves are ordered by
+        # vertex, then color
+        s = rt_path(p3(), 3, Coloring((1, 2, 1), 3), Coloring((2, 1, 2), 3))
+        assert s.steps == ((1, 3), (0, 2), (2, 2), (1, 1))
 
     def test_disconnected_pair_has_no_distance(self):
         a = Coloring((1, 2, 3), 3)

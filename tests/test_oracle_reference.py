@@ -1,0 +1,49 @@
+"""Differential tests: the two-ended `rt_distance` and `rt_path` against the
+one-ended BFS kept in `oracle_reference`."""
+
+from __future__ import annotations
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from recolor import Coloring, gen_ktree, gen_partial_ktree, iter_colorings, rt_distance, rt_path
+
+import oracle_reference as ref
+from strategies import small_graphs
+
+
+@st.composite
+def oracle_cases(draw):
+    """A small graph, k-tree or partial k-tree (n <= 8, k <= 3), a palette
+    of k+1 .. k+3 colors and two of its proper colorings; the target is
+    sometimes the last coloring in lexicographic order, far from most
+    starts.  Spaces at t = k+1 are often disconnected."""
+    k = draw(st.integers(min_value=1, max_value=3))
+    family = draw(st.sampled_from(("small", "ktree", "partial-ktree")))
+    if family == "small":
+        g = draw(small_graphs(max_n=6))
+    else:
+        n = draw(st.integers(min_value=k + 1, max_value=8))
+        seed = draw(st.integers(min_value=0, max_value=10_000))
+        gen = gen_ktree if family == "ktree" else gen_partial_ktree
+        g = gen(n, k, seed).graph
+    t = draw(st.integers(min_value=k + 1, max_value=k + 3))
+    states = list(iter_colorings(g, t))
+    assume(states)
+    alpha = draw(st.sampled_from(states))
+    beta = states[-1] if draw(st.booleans()) else draw(st.sampled_from(states))
+    return g, t, Coloring(alpha, t), Coloring(beta, t)
+
+
+@given(oracle_cases())
+@settings(max_examples=200, deadline=None)
+def test_distance_and_path_match_reference(case):
+    g, t, alpha, beta = case
+    assert rt_distance(g, t, alpha, beta) == ref.rt_distance(g, t, alpha, beta)
+    got, want = rt_path(g, t, alpha, beta), ref.rt_path(g, t, alpha, beta)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None
+        assert got.start == want.start
+        assert got.steps == want.steps

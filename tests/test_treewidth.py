@@ -279,3 +279,14 @@ def test_pipeline_checks_each_coloring_and_replays_each_walk_once(monkeypatch):
     # start once more
     assert len(proper) == 2 + 2 * 3
     assert len(replays) == 2
+
+
+def test_over_cap_oracle_bridge_is_refused_before_the_halves(monkeypatch):
+    g, td = gen_partial_ktree(30, 2, 3)
+    _, o = degeneracy(g)
+    alpha = gen_random_coloring(g, o, 5, 4)
+    beta = gen_random_coloring(g, o, 5, 5)
+    built = _count_calls(monkeypatch, recolor.engine.best_choice_sequence)
+    with pytest.raises(OracleInfeasible, match=r"^state space 5\*\*30 exceeds cap 2000000$"):
+        run_pipeline(g, td, alpha, beta, 5, bridge="oracle")
+    assert built == []
