@@ -122,7 +122,8 @@ class StateCapExceeded(RecolorError):
 
 
 class OracleInfeasible(RecolorError):
-    """A pipeline bridge step was requested but the instance is too large."""
+    """An oracle query (a pipeline bridge, an all-pairs diameter) was
+    requested but the instance is too large."""
 
 
 class NotAClique(RecolorError):

@@ -3,7 +3,9 @@
 States are the proper t-colorings of a graph; two states are adjacent when
 they differ on exactly one vertex.  Everything here enumerates or searches
 that space directly, so it only works at desk scale: every call first
-rejects t < 1 and checks t**n against a state cap, refusing beyond it.
+rejects t < 1 and checks t**n against a state cap, refusing beyond it;
+`rt_diameter`, which searches from every state, also refuses past
+isqrt(cap) states.
 
 Used as ground truth for distances, connectivity and diameter, and as the
 middle leg of the treewidth pipeline.
@@ -14,14 +16,11 @@ from __future__ import annotations
 import math
 from typing import Iterator
 
-from .errors import ImproperInput, InvalidParams, StateCapExceeded
+from .errors import ImproperInput, InvalidParams, OracleInfeasible, StateCapExceeded
 from .graphs import Coloring, Graph, is_proper
 from .engine import RecoloringSequence, RecoloringStep
 
 DEFAULT_STATE_CAP = 2_000_000
-
-# a state of the search as (code, colors); see _Space
-_Entry = tuple[int, tuple[int, ...]]
 
 
 def _check_cap(g: Graph, t: int, state_cap: int) -> None:
@@ -81,11 +80,13 @@ def iter_colorings(
 class _Space:
     """Integer encoding of colorings (base t) plus layered BFS over moves.
 
-    Every discovered state is carried as a tuple as well; the distance maps
-    are keyed by the integer code, which is smaller than the tuple (full
-    BFS over the 43,740 proper 5-colorings of a 9-vertex 2-tree, Python
-    3.11 on a shared 2-core Xeon: a 6.2 MB tracemalloc peak against 8.6 MB
-    keyed by tuple, and no slower, 0.4-0.7 s either way).
+    A search state is only its integer code; `expand` decodes a state's
+    colors when it expands that state.  Measured on the 43,740 proper
+    5-colorings of a 9-vertex 2-tree (Python 3.11 on a shared 2-core Xeon,
+    tracemalloc peaks): a full BFS peaks at 5.4 MB against 6.2 MB when
+    every discovered state also carried its color tuple, and `rt_path`
+    to the farthest state (13 steps) at 2.7 MB against 4.5 MB; the BFS
+    takes 0.5-0.7 s either way.
     """
 
     def __init__(self, g: Graph, t: int):
@@ -97,20 +98,19 @@ class _Space:
         return sum((c - 1) * p for c, p in zip(state, self.pw))
 
     def expand(
-        self, layer: list[_Entry], dist: dict[int, int], d: int
-    ) -> Iterator[_Entry]:
-        """Yield (code, state) for each move out of `layer` into a state not
-        yet in `dist`, entering it there at distance d.
+        self, layer: list[int], dist: dict[int, int], d: int
+    ) -> Iterator[tuple[int, int, int]]:
+        """Yield (code, v, c) for each move out of `layer` (recolor v to c)
+        into a state not yet in `dist`, entering it there at distance d.
 
         Moves are tried state by state in layer order and, per state,
         vertex-ascending, color-ascending, so every search is deterministic.
         """
-        g, t, pw = self.g, self.t, self.pw
-        n = g.n
-        adj = g.adj
-        for code, state in layer:
-            for v in range(n):
-                cv = state[v]
+        t, pw = self.t, self.pw
+        adj = self.g.adj
+        for code in layer:
+            state = [code // p % t + 1 for p in pw]
+            for v, cv in enumerate(state):
                 pv = pw[v]
                 taken = {state[u] for u in adj[v]}
                 base = code - (cv - 1) * pv
@@ -121,40 +121,39 @@ class _Space:
                     if ncode in dist:
                         continue
                     dist[ncode] = d
-                    yield ncode, state[:v] + (c,) + state[v + 1 :]
+                    yield ncode, v, c
 
     def bfs(self, source: tuple[int, ...]) -> dict[int, int]:
         """Distances (by state code) from source to its whole component."""
-        code = self.encode(source)
-        dist = {code: 0}
-        layer = [(code, source)]
+        layer = [self.encode(source)]
+        dist = {layer[0]: 0}
         d = 0
         while layer:
             d += 1
-            layer = list(self.expand(layer, dist, d))
+            layer = [code for code, _, _ in self.expand(layer, dist, d)]
         return dist
 
     def meet(
         self, src: tuple[int, ...], dst: tuple[int, ...], whole_layer: bool
-    ) -> tuple[dict[int, int], dict[int, int], list[_Entry]] | None:
+    ) -> tuple[dict[int, int], dict[int, int], list[int]] | None:
         """Two-ended BFS: grow by one whole layer the side whose frontier is
         smaller (src's on a tie) until it reaches a state the other side
         has already reached.
 
         Returns None when one side runs out first, else the distance maps
-        from src and from dst and the meeting states as (code, state)
-        pairs.  Every meeting state lies on a shortest walk.  The search
-        stops at the first one, or with `whole_layer` finishes its layer;
-        the meeting states are then all the states at that distance from
-        src on a shortest walk, and both maps hold whole layers only.
+        from src and from dst and the codes of the meeting states.  Every
+        meeting state lies on a shortest walk.  The search stops at the
+        first one, or with `whole_layer` finishes its layer; the meeting
+        states are then all the states at that distance from src on a
+        shortest walk, and both maps hold whole layers only.
         """
         a, b = self.encode(src), self.encode(dst)
         dist = ({a: 0}, {b: 0})
         if a == b:
-            return dist[0], dist[1], [(a, src)]
-        frontier = [[(a, src)], [(b, dst)]]
+            return dist[0], dist[1], [a]
+        frontier = [[a], [b]]
         level = [0, 0]
-        meeting: list[_Entry] = []
+        meeting: list[int] = []
         while not meeting:
             side = 0 if len(frontier[0]) <= len(frontier[1]) else 1
             if not frontier[side]:
@@ -162,12 +161,12 @@ class _Space:
             other = dist[1 - side]
             level[side] += 1
             layer = []
-            for found in self.expand(frontier[side], dist[side], level[side]):
-                if found[0] in other:
-                    meeting.append(found)
+            for code, _, _ in self.expand(frontier[side], dist[side], level[side]):
+                if code in other:
+                    meeting.append(code)
                     if not whole_layer:
                         break
-                layer.append(found)
+                layer.append(code)
             frontier[side] = layer
         return dist[0], dist[1], meeting
 
@@ -176,8 +175,7 @@ class _Space:
         if found is None:
             return None
         from_src, from_dst, meeting = found
-        code = meeting[0][0]
-        return from_src[code] + from_dst[code]
+        return from_src[meeting[0]] + from_dst[meeting[0]]
 
     def path(
         self, src: tuple[int, ...], dst: tuple[int, ...]
@@ -187,29 +185,25 @@ class _Space:
         found = self.meet(src, dst, whole_layer=True)
         if found is None:
             return None
-        from_src, from_dst, meeting = found
-        code = meeting[0][0]
-        mid = from_src[code]
-        total = mid + from_dst[code]
+        from_src, from_dst, layer = found
+        mid = from_src[layer[0]]
+        total = mid + from_dst[layer[0]]
         # Going back from the meeting states toward src, keep each layer's
         # states with a move into the layer kept after it: exactly the
         # states on a shortest walk.  Give each its distance to dst, so
         # that from_dst covers every state on a shortest walk.
-        layer = meeting
         for i in range(mid - 1, 0, -1):
-            layer = [f for f in self.expand(layer, {}, 0) if from_src.get(f[0]) == i]
-            for c, _ in layer:
-                from_dst[c] = total - i
+            layer = [u for u, _, _ in self.expand(layer, {}, 0) if from_src.get(u) == i]
+            for u in layer:
+                from_dst[u] = total - i
         # From src, take each time the first move that gets one closer to dst.
         steps = []
-        code, state = self.encode(src), src
+        code = self.encode(src)
         for left in range(total - 1, -1, -1):
-            for code, nxt in self.expand([(code, state)], {}, 0):
+            for code, v, c in self.expand([code], {}, 0):
                 if from_dst.get(code) == left:
                     break
-            v = next(u for u, (c1, c2) in enumerate(zip(state, nxt)) if c1 != c2)
-            steps.append(RecoloringStep(v, nxt[v]))
-            state = nxt
+            steps.append(RecoloringStep(v, c))
         return steps
 
 
@@ -280,9 +274,17 @@ def rt_diameter(g: Graph, t: int, state_cap: int = DEFAULT_STATE_CAP) -> int | f
     """Largest shortest-path distance over all pairs of proper t-colorings.
 
     Returns math.inf when the space is disconnected or empty.  Runs a BFS
-    from every state, so keep instances tiny.
+    from every state, so the work grows with the square of the number of
+    states: past isqrt(state_cap) states it raises OracleInfeasible.
     """
-    states = list(iter_colorings(g, t, state_cap))
+    limit = math.isqrt(max(state_cap, 0))
+    states = []
+    for s in iter_colorings(g, t, state_cap):
+        if len(states) == limit:
+            raise OracleInfeasible(
+                f"more than {limit} colorings: all-pairs search exceeds cap {state_cap}"
+            )
+        states.append(s)
     if not states:
         return math.inf
     total = len(states)
@@ -292,8 +294,7 @@ def rt_diameter(g: Graph, t: int, state_cap: int = DEFAULT_STATE_CAP) -> int | f
         dist = sp.bfs(s)
         if len(dist) < total:
             return math.inf
-        ecc = max(dist.values())
-        diam = max(diam, ecc)
+        diam = max(diam, max(dist.values()))
     return diam
 
 
@@ -301,14 +302,10 @@ def frozen_states(
     g: Graph, t: int, state_cap: int = DEFAULT_STATE_CAP
 ) -> list[tuple[int, ...]]:
     """Proper t-colorings with no recoloring move at all."""
-    out = []
-    for state in iter_colorings(g, t, state_cap):
-        movable = False
-        for v in range(g.n):
-            taken = {state[u] for u in g.adj[v]}
-            if any(c != state[v] and c not in taken for c in range(1, t + 1)):
-                movable = True
-                break
-        if not movable:
-            out.append(state)
-    return out
+    _check_cap(g, t, state_cap)  # before _Space computes t**v for every v
+    sp = _Space(g, t)
+    return [
+        s
+        for s in iter_colorings(g, t, state_cap)
+        if next(sp.expand([sp.encode(s)], {}, 0), None) is None
+    ]

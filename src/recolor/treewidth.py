@@ -291,7 +291,7 @@ def run_pipeline(
     # each merge validates the decomposition and checks its coloring is proper
     alpha_merged = merge_by_coloring(g, td, alpha)
     beta_merged = merge_by_coloring(g, td, beta)
-    k = td.width
+    k = max(td.width, 0)  # an empty instance has width -1; its halves are empty
     if t < 2 * k + 1:
         raise ValueError(f"palette {t} too small for width {k}; need >= {2 * k + 1}")
     if bridge == "oracle":

@@ -1,16 +1,20 @@
-"""Reference versions of `rt_distance` and `rt_path`, kept as the one-ended
-BFS the library's two-ended search is differential-tested against.
+"""Reference versions of the oracle queries, kept as the one-ended BFS and
+the per-vertex move scan the library's code-only search is
+differential-tested against.
 
 The search runs forward from the start until it discovers the target,
 trying moves vertex-ascending, color-ascending; `rt_path` follows the
-recorded parents back from the target.
+recorded parents back from the target.  `rt_connected` and `rt_diameter`
+run the same BFS to exhaustion, and `frozen_states` scans each coloring's
+vertices for a free color.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
-from recolor import Coloring, Graph, RecoloringSequence, RecoloringStep
+from recolor import Coloring, Graph, RecoloringSequence, RecoloringStep, iter_colorings
 from recolor.oracle import DEFAULT_STATE_CAP, _as_state, _check_cap, _Space
 
 
@@ -86,3 +90,36 @@ def rt_path(
         cur = prev
     steps.reverse()
     return RecoloringSequence(tuple(steps), Coloring(src, t))
+
+
+def rt_connected(g: Graph, t: int) -> bool:
+    states = list(iter_colorings(g, t))
+    return bool(states) and len(bfs(_Space(g, t), states[0])) == len(states)
+
+
+def rt_diameter(g: Graph, t: int) -> int | float:
+    states = list(iter_colorings(g, t))
+    sp = _Space(g, t)
+    diam = 0
+    for s in states:
+        dist = bfs(sp, s)
+        if len(dist) < len(states):
+            return math.inf
+        diam = max(diam, max(dist.values()))
+    return diam if states else math.inf
+
+
+def frozen_states(
+    g: Graph, t: int, state_cap: int = DEFAULT_STATE_CAP
+) -> list[tuple[int, ...]]:
+    out = []
+    for state in iter_colorings(g, t, state_cap):
+        movable = False
+        for v in range(g.n):
+            taken = {state[u] for u in g.adj[v]}
+            if any(c != state[v] and c not in taken for c in range(1, t + 1)):
+                movable = True
+                break
+        if not movable:
+            out.append(state)
+    return out

@@ -427,6 +427,30 @@ class TestCli:
         assert out == ""
         assert err == "error: state space 5**7000 exceeds cap 2000000\n"
 
+    def test_oracle_diameter_refuses_past_the_square_root_of_the_cap(self, tmp_path, capsys):
+        inst = str(tmp_path / "inst.json")
+        self.run(capsys, "gen", "--family", "ktree", "--n", "8", "--k", "2", "--seed", "7",
+                 "--out", inst)
+        code, out, err = self.run(capsys, "oracle", "diameter", "--graph", inst, "--t", "5")
+        assert code == 3
+        assert out == ""
+        assert err == "error: more than 1414 colorings: all-pairs search exceeds cap 2000000\n"
+
+    def test_pipeline_on_the_empty_instance(self, tmp_path, capsys):
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps({"n": 0, "edges": []}))
+        td = tmp_path / "td.json"
+        td.write_text(json.dumps({"bags": [[]], "tree_edges": []}))
+        code, out, err = self.run(
+            capsys, "pipeline", "--graph", str(g), "--td", str(td),
+            "--alpha", "[]", "--beta", "[]", "--t", "5",
+        )
+        assert code == 0
+        assert err == ""
+        obj = json.loads(out)
+        assert obj["per_vertex"] == {}
+        assert obj["gamma1"] == obj["gamma2"] == []
+
     def run_c4_pipeline(self, tmp_path, capsys, bags):
         g = tmp_path / "c4.json"
         g.write_text(json.dumps({"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]]}))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -13,10 +14,12 @@ from recolor import (
     Coloring,
     Graph,
     InvalidParams,
+    OracleInfeasible,
     StateCapExceeded,
     apply_sequence,
     enumerate_colorings,
     frozen_states,
+    gen_ktree,
     iter_colorings,
     rt_connected,
     rt_diameter,
@@ -142,6 +145,25 @@ class TestConnectivityAndDiameter:
     def test_triangle_four_colors_unfrozen(self):
         assert rt_connected(k3(), 4)
         assert frozen_states(k3(), 4) == []
+
+    def test_diameter_refuses_past_the_square_root_of_the_cap(self):
+        # p3 has 12 proper 3-colorings; isqrt(144) = 12, isqrt(143) = 11
+        assert rt_diameter(p3(), 3, state_cap=144) == 4
+        with pytest.raises(
+            OracleInfeasible, match=r"^more than 11 colorings: all-pairs search exceeds cap 143$"
+        ):
+            rt_diameter(p3(), 3, state_cap=143)
+
+    def test_diameter_bound_at_the_default_cap(self):
+        # 2-trees at t=5: 540 colorings at n=5, 1,620 at n=6, 14,580 at n=8
+        assert rt_diameter(gen_ktree(5, 2, 3).graph, 5) == 7
+        with pytest.raises(OracleInfeasible, match=r"^more than 1414 colorings"):
+            rt_diameter(gen_ktree(6, 2, 3).graph, 5)
+        g = gen_ktree(8, 2, 7).graph
+        t0 = time.monotonic()
+        with pytest.raises(OracleInfeasible):
+            rt_diameter(g, 5)
+        assert time.monotonic() - t0 < 1.0
 
 
 class TestAgainstBruteForce:

@@ -1,12 +1,24 @@
-"""Differential tests: the two-ended `rt_distance` and `rt_path` against the
-one-ended BFS kept in `oracle_reference`."""
+"""Differential tests: the two-ended `rt_distance` and `rt_path`, and the
+whole-space `frozen_states`, `rt_connected` and `rt_diameter`, against the
+one-ended BFS and move scan kept in `oracle_reference`."""
 
 from __future__ import annotations
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, find, given, settings
 from hypothesis import strategies as st
 
-from recolor import Coloring, gen_ktree, gen_partial_ktree, iter_colorings, rt_distance, rt_path
+from recolor import (
+    Coloring,
+    enumerate_colorings,
+    frozen_states,
+    gen_ktree,
+    gen_partial_ktree,
+    iter_colorings,
+    rt_connected,
+    rt_diameter,
+    rt_distance,
+    rt_path,
+)
 
 import oracle_reference as ref
 from strategies import small_graphs
@@ -47,3 +59,24 @@ def test_distance_and_path_match_reference(case):
         assert got is not None
         assert got.start == want.start
         assert got.steps == want.steps
+
+
+# one BFS per state: keep the reference all-pairs search small
+DIAMETER_STATES = 200
+
+
+@given(oracle_cases())
+@settings(max_examples=100, deadline=None)
+def test_whole_space_queries_match_reference(case):
+    g, t, _, _ = case
+    assert frozen_states(g, t) == ref.frozen_states(g, t)
+    assert rt_connected(g, t) == ref.rt_connected(g, t)
+    if enumerate_colorings(g, t) <= DIAMETER_STATES:
+        assert rt_diameter(g, t) == ref.rt_diameter(g, t)
+
+
+def test_oracle_cases_draw_frozen_states():
+    # t = k+1 on a k-tree freezes every coloring: each vertex sits in a
+    # (k+1)-clique that uses all k+1 colors
+    g, t, _, _ = find(oracle_cases(), lambda case: frozen_states(case[0], case[1]))
+    assert frozen_states(g, t) == ref.frozen_states(g, t)

@@ -203,6 +203,15 @@ class TestPipeline:
         with pytest.raises(OracleInfeasible, match=r"5\*\*7000"):
             run_pipeline(Graph(n, []), td, alpha, beta, 5, bridge="oracle")
 
+    @pytest.mark.parametrize("bridge", ["oracle", "none"])
+    def test_empty_instance_has_empty_halves(self, bridge):
+        # the decomposition [[]] has width -1; the pipeline treats it as 0
+        empty = Coloring((), 5)
+        res = run_pipeline(Graph(0, []), TreeDecomposition.make([[]], []), empty, empty, 5, bridge)
+        assert res.per_vertex == {}
+        assert res.gamma1 == res.gamma2 == empty
+        assert res.alpha_side.steps == res.beta_side.steps == ()
+
     def test_result_serializes(self):
         g, td = c4(), c4_td()
         res = run_pipeline(g, td, Coloring((1, 2, 1, 2), 5), Coloring((2, 1, 2, 1), 5), 5)
