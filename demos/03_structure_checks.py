@@ -34,7 +34,7 @@ def main():
     for count in sorted(hist):
         print(f"  {count} times: {hist[count]} vertices")
     print(f"worst vertex: {report.max_count} recolorings "
-          f"(guaranteed ceiling {per_vertex_bound(d)})")
+          f"(loose sanity ceiling {per_vertex_bound(d)}, not a bound from the paper)")
 
     print(f"tight revisits: {report.stats['tight']}, "
           f"uncharged neighbor moves: {report.stats['saved']}, "

@@ -225,6 +225,8 @@ def naughty_recolorings(
 
     Windows are clamped at the tail.  X's colors are replayed from s.start.
     """
+    if len(s.start) != g.n:
+        raise ValueError(f"walk covers {len(s.start)} vertices, graph has {g.n}")
     xs = _clique_ids(clique_x, g.n)
     for i in range(len(xs)):
         for j in range(i + 1, len(xs)):
@@ -317,6 +319,10 @@ def analyze_sequence(
     The palette-coverage check runs on the max-back-degree vertices when
     the palette is exactly 2d+1 for them.
     """
+    if len(ordering.order) != g.n:
+        raise ValueError(f"ordering covers {len(ordering.order)} vertices, graph has {g.n}")
+    if len(s.start) != g.n:
+        raise ValueError(f"walk covers {len(s.start)} vertices, graph has {g.n}")
     counts = per_vertex_counts(s)
     dmax = ordering.max_back_degree
     t = s.palette_size

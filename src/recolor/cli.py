@@ -2,7 +2,7 @@
 
 Subcommands: gen, peo, recolor, analyze, oracle, pipeline, bench.
 Exit codes: 0 success, 1 a check reported a violation, 2 bad input,
-3 state cap exceeded.
+3 an oracle query too large (OracleInfeasible, a passed state cap included).
 """
 
 from __future__ import annotations
@@ -16,13 +16,7 @@ from pathlib import Path
 from . import io as rio
 from .analysis import analyze_sequence
 from .engine import apply_sequence, best_choice_sequence
-from .errors import (
-    InvalidParams,
-    NotChordal,
-    OracleInfeasible,
-    RecolorError,
-    StateCapExceeded,
-)
+from .errors import InvalidParams, NotChordal, OracleInfeasible, RecolorError
 from .experiment import ExperimentConfig, rows_to_csv, rows_to_json, run_experiment
 from .generators import FAMILIES, gen_instance
 from .graphs import degeneracy, mcs_peo
@@ -280,7 +274,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (StateCapExceeded, OracleInfeasible) as e:
+    except OracleInfeasible as e:
         sys.stderr.write(f"error: {e}\n")
         return CAP_EXCEEDED
     except (RecolorError, ValueError, OSError, json.JSONDecodeError, KeyError) as e:

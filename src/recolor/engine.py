@@ -14,22 +14,22 @@ color and otherwise postpones the next forced move as long as possible.
 The walk under construction is a doubly linked list of step nodes with
 integer order labels (`_Walk`); each vertex keeps its own nodes in walk
 order, and `local_best_choice` splices one vertex into it in place.  A
-vertex's restriction, the steps of its earlier neighbors, is a
-merge of their node lists by label, and each spliced step is linked in
-before its triggering node.  A closed label gap relabels the smallest
-sparse enough window around it, not the whole list.  Folding in all
-vertices costs O((n + L) log L) for the list, where L is the walk's
-length, plus O(|R| log d) to merge each restriction R and O(|R|) per
-color choice made against it: O((n + L) log L + sum of |R|) when
-back-degrees and choices per vertex are bounded.  The tuple of steps is
-built once, at the end.
+vertex's restriction, the steps of its earlier neighbors, is one sort of
+their node lists by label, and each spliced step is linked in before its
+triggering node.  A closed label gap relabels the smallest sparse enough
+window around it, not the whole list.  Folding in all vertices costs
+O((n + L) log L) for the list, where L is the walk's length, plus
+O(|R| log d) to sort each restriction R (the sort merges the d sorted
+node lists) and O(|R|) per color choice made against it:
+O((n + L) log L + sum of |R|) when back-degrees and choices per vertex
+are bounded.  The tuple of steps is built once, at the end.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain
 from operator import attrgetter
 from typing import Iterable, NamedTuple, Sequence
 
@@ -52,10 +52,17 @@ class RecoloringStep(NamedTuple):
 @dataclass(frozen=True)
 class RecoloringSequence:
     """Steps plus the coloring they apply to; the walk's palette is the
-    start coloring's."""
+    start coloring's.  Every step's vertex lies in 0..len(start)-1
+    (ValueError otherwise)."""
 
     steps: tuple[RecoloringStep, ...]
     start: Coloring
+
+    def __post_init__(self):
+        n = len(self.start)
+        for i, (v, _) in enumerate(self.steps):
+            if not 0 <= v < n:
+                raise ValueError(f"step {i} recolors vertex {v}, outside 0..{n - 1}")
 
     @property
     def palette_size(self) -> int:
@@ -70,18 +77,14 @@ def apply_sequence(g: Graph, s: RecoloringSequence) -> Coloring:
 
     Raises NullStep when a step repeats the current color,
     ImproperIntermediate when a step creates a monochromatic edge,
-    PaletteViolation when a step's color falls outside the palette, and
-    ValueError when a step's vertex falls outside 0..n-1.
+    and PaletteViolation when a step's color falls outside the palette.
     """
-    n = g.n
     t = s.palette_size
     if not is_proper(g, s.start):
         raise ImproperInput("start coloring is not proper")
     colors = list(s.start.colors)
     adj = g.adj
     for i, (v, c) in enumerate(s.steps):
-        if not 0 <= v < n:
-            raise ValueError(f"step {i} recolors vertex {v}, outside 0..{n - 1}")
         if c < 1 or c > t:
             raise PaletteViolation(v, c, t)
         if colors[v] == c:
@@ -254,7 +257,6 @@ def local_best_choice(
     u: int,
     nbrs: Iterable[int],
     walk: _Walk,
-    alpha_u: int,
     beta_u: int,
     stats: dict | None = None,
 ) -> None:
@@ -264,18 +266,19 @@ def local_best_choice(
     step of the walk recolors one of them to u's current color, a step
     moving u to a best-choice color is inserted immediately before it; a
     final step to beta_u is appended iff u does not already sit there.
-    The walk's start gets u's entry set to alpha_u.
+    u starts at its color in the walk's start coloring.
     """
     t = walk.start.palette_size
     nbr_set = frozenset(nbrs)
     if not nbr_set <= g.adj[u]:
         raise ValueError(f"nbrs must be neighbors of {u}")
-    # listed before any insertion: a relabel would leave merge's cached keys stale
-    restriction = list(heapq.merge(*(walk.by_vertex[w] for w in nbr_set), key=_label))
+    restriction = sorted(
+        chain.from_iterable(walk.by_vertex[w] for w in nbr_set), key=_label
+    )
     nbr_colors = [node.color for node in restriction]
 
     cur = {w: walk.start[w] for w in nbr_set}
-    u_color = alpha_u
+    u_color = walk.start[u]
     inserted = 0
     palette = range(1, t + 1)
     for j, node in enumerate(restriction):
@@ -293,8 +296,6 @@ def local_best_choice(
         cur[w] = c
     if u_color != beta_u:
         walk.insert_before(walk.tail, u, beta_u)
-    if walk.start[u] != alpha_u:
-        walk.start = walk.start.with_color(u, alpha_u)
 
 
 def best_choice_sequence(
@@ -313,15 +314,15 @@ def best_choice_sequence(
     """
     if alpha.palette_size != beta.palette_size:
         raise ValueError("alpha and beta must share a palette")
+    if len(ordering.order) != g.n:
+        raise ValueError(f"ordering covers {len(ordering.order)} vertices, graph has {g.n}")
     if not is_proper(g, alpha):
         raise ImproperInput("alpha is not proper")
     if not is_proper(g, beta):
         raise ImproperInput("beta is not proper")
     walk = _Walk(alpha)
     for v in ordering.order:
-        local_best_choice(
-            g, v, ordering.back_nbrs[v], walk, alpha[v], beta[v], stats
-        )
+        local_best_choice(g, v, ordering.back_nbrs[v], walk, beta[v], stats)
     s = walk.sequence()
     end = apply_sequence(g, s)
     if end.colors != beta.colors:

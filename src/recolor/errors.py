@@ -111,7 +111,12 @@ class DisconnectedTrace(DecompositionError):
         super().__init__(f"bags containing vertex {vertex} do not form a subtree")
 
 
-class StateCapExceeded(RecolorError):
+class OracleInfeasible(RecolorError):
+    """An oracle query (a pipeline bridge, an all-pairs diameter) was
+    requested but the instance is too large."""
+
+
+class StateCapExceeded(OracleInfeasible):
     """The implicit state space is larger than the configured cap."""
 
     def __init__(self, t: int, n: int, cap: int):
@@ -119,11 +124,6 @@ class StateCapExceeded(RecolorError):
         self.n = n
         self.cap = cap
         super().__init__(f"state space {t}**{n} exceeds cap {cap}")
-
-
-class OracleInfeasible(RecolorError):
-    """An oracle query (a pipeline bridge, an all-pairs diameter) was
-    requested but the instance is too large."""
 
 
 class NotAClique(RecolorError):

@@ -96,7 +96,7 @@ class Coloring:
         return Coloring(lst, self.palette_size)
 
     def with_palette(self, t: int) -> "Coloring":
-        return Coloring(self.colors, t)
+        return self if t == self.palette_size else Coloring(self.colors, t)
 
     def __eq__(self, other) -> bool:
         return (

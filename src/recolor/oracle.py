@@ -208,8 +208,7 @@ class _Space:
 
 
 def _as_state(g: Graph, t: int, coloring: Coloring) -> tuple[int, ...]:
-    if coloring.palette_size != t:
-        coloring = coloring.with_palette(t)
+    coloring = coloring.with_palette(t)
     if not is_proper(g, coloring):
         raise ImproperInput("coloring is not proper")
     return coloring.colors

@@ -27,7 +27,6 @@ from .errors import (
     ImproperInput,
     OracleInfeasible,
     RecolorError,
-    StateCapExceeded,
     UncoveredEdge,
     UncoveredVertex,
 )
@@ -199,6 +198,8 @@ def merge_by_coloring(g: Graph, td: TreeDecomposition, alpha: Coloring) -> Merge
 
 def project_coloring(mm: MergeMap, gamma2: Coloring) -> Coloring:
     """Pull a quotient coloring back to the original vertices."""
+    if len(gamma2) != mm.n_quotient:
+        raise ValueError(f"coloring covers {len(gamma2)} vertices, quotient has {mm.n_quotient}")
     return Coloring([gamma2[mm.pi[v]] for v in range(mm.n_original)], gamma2.palette_size)
 
 
@@ -207,11 +208,12 @@ def expand_sequence(mm: MergeMap, s2: RecoloringSequence) -> RecoloringSequence:
     recoloring each fiber member in ascending order.  The quotient walk is
     assumed valid; fibers are independent sets, so the expanded walk is
     then proper at every intermediate point."""
+    start = project_coloring(mm, s2.start)  # checks the walk's size first
     steps = []
     for v, c in s2.steps:
         for u in sorted(mm.fibers[v]):
             steps.append(RecoloringStep(u, c))
-    return RecoloringSequence(tuple(steps), project_coloring(mm, s2.start))
+    return RecoloringSequence(tuple(steps), start)
 
 
 @dataclass
@@ -219,9 +221,9 @@ class PipelineResult:
     """Everything produced by `run_pipeline`.
 
     alpha_side goes alpha -> gamma1 on the original graph; beta_side goes
-    beta -> gamma2.  When the bridge ran, `bridge` holds the gamma1 ->
-    gamma2 walk and `composed` the full alpha -> beta sequence (beta side
-    reversed); otherwise both are None and bridge_status says why.
+    beta -> gamma2.  When the oracle bridge ran, `bridge` holds the gamma1
+    -> gamma2 walk and `composed` the full alpha -> beta sequence (beta
+    side reversed), both possibly empty; otherwise both are None.
     """
 
     alpha_side: RecoloringSequence
@@ -229,9 +231,12 @@ class PipelineResult:
     gamma1: Coloring
     gamma2: Coloring
     bridge: RecoloringSequence | None
-    bridge_status: str
     composed: RecoloringSequence | None
     per_vertex: dict[int, int]
+
+    @property
+    def bridge_status(self) -> str:
+        return "unavailable" if self.bridge is None else "oracle"
 
     def to_json_dict(self) -> dict:
         from .io import sequence_to_json
@@ -243,8 +248,8 @@ class PipelineResult:
             "gamma2": list(self.gamma2.colors),
             "alpha_side": sequence_to_json(self.alpha_side),
             "beta_side": sequence_to_json(self.beta_side),
-            "bridge": sequence_to_json(self.bridge) if self.bridge else None,
-            "composed": sequence_to_json(self.composed) if self.composed else None,
+            "bridge": None if self.bridge is None else sequence_to_json(self.bridge),
+            "composed": None if self.composed is None else sequence_to_json(self.composed),
             "per_vertex": {str(v): c for v, c in sorted(self.per_vertex.items())},
         }
         return out
@@ -284,10 +289,8 @@ def run_pipeline(
     full composition is validated to end exactly at beta; with
     bridge="none" the two half-walks are returned on their own.
     """
-    if alpha.palette_size != t:
-        alpha = alpha.with_palette(t)
-    if beta.palette_size != t:
-        beta = beta.with_palette(t)
+    alpha = alpha.with_palette(t)
+    beta = beta.with_palette(t)
     # each merge validates the decomposition and checks its coloring is proper
     alpha_merged = merge_by_coloring(g, td, alpha)
     beta_merged = merge_by_coloring(g, td, beta)
@@ -296,10 +299,7 @@ def run_pipeline(
         raise ValueError(f"palette {t} too small for width {k}; need >= {2 * k + 1}")
     if bridge == "oracle":
         # refuse an oracle bridge over the cap before building the halves
-        try:
-            _oracle._check_cap(g, t, state_cap)
-        except StateCapExceeded as e:
-            raise OracleInfeasible(str(e)) from e
+        _oracle._check_cap(g, t, state_cap)
     elif bridge != "none":
         raise ValueError(f"unknown bridge {bridge!r}")
     alpha_side, gamma1 = _half_sequence(alpha_merged, k, t)
@@ -307,7 +307,6 @@ def run_pipeline(
 
     if bridge == "none":
         mid = composed = None
-        status = "unavailable"
         steps = alpha_side.steps + beta_side.steps
     else:
         mid = _oracle.rt_path(g, t, gamma1, gamma2, state_cap)
@@ -320,12 +319,11 @@ def run_pipeline(
         end = apply_sequence(g, composed)
         if end.colors != beta.colors:
             raise RecolorError("composed sequence does not end at beta")
-        status = "oracle"
         steps = composed.steps
     per_vertex = {v: 0 for v in range(g.n)}
     for st in steps:
         per_vertex[st.vertex] += 1
     return PipelineResult(
         alpha_side, beta_side, gamma1, gamma2,
-        mid, status, composed, per_vertex,
+        mid, composed, per_vertex,
     )

@@ -85,9 +85,8 @@ class TestApplySequence:
 
     @pytest.mark.parametrize("bad", [-1, 3])
     def test_step_vertex_out_of_range_rejected(self, bad):
-        s = seq([(1, 3), (bad, 3)], (1, 2, 1), 3)
         with pytest.raises(ValueError, match=rf"^step 1 recolors vertex {bad}, outside 0\.\.2$"):
-            apply_sequence(p3(), s)
+            seq([(1, 3), (bad, 3)], (1, 2, 1), 3)
 
 
 class TestReverseSequence:
@@ -143,7 +142,7 @@ class TestLocalBestChoice:
         out = walk([(1, 3), (0, 2), (1, 1)], (1, 2, 1), 3)
         # Re-derive the full trace by treating vertex 2 as the new last
         # vertex over its earlier neighbourhood {1}.
-        local_best_choice(g, 2, frozenset({1}), out, alpha_u=1, beta_u=2)
+        local_best_choice(g, 2, frozenset({1}), out, beta_u=2)
         out = out.sequence()
         assert [(st.vertex, st.new_color) for st in out.steps] == [
             (1, 3),
@@ -156,13 +155,13 @@ class TestLocalBestChoice:
     def test_no_conflicts_just_closes(self):
         g = Graph(2, [(0, 1)])
         out = walk([], (1, 2), 3)
-        local_best_choice(g, 1, frozenset({0}), out, alpha_u=2, beta_u=3)
+        local_best_choice(g, 1, frozenset({0}), out, beta_u=3)
         assert [(st.vertex, st.new_color) for st in out.sequence().steps] == [(1, 3)]
 
     def test_already_at_target_adds_nothing(self):
         g = Graph(2, [(0, 1)])
         out = walk([], (1, 2), 3)
-        local_best_choice(g, 1, frozenset({0}), out, alpha_u=2, beta_u=2)
+        local_best_choice(g, 1, frozenset({0}), out, beta_u=2)
         assert out.sequence().steps == ()
 
 
@@ -220,10 +219,7 @@ class TestBestChoiceSequence:
         stage = engine._Walk(alpha)
         done = set()
         for v in ordering.order:
-            local_best_choice(
-                g, v, ordering.back_nbrs[v], stage,
-                alpha.colors[v], beta.colors[v],
-            )
+            local_best_choice(g, v, ordering.back_nbrs[v], stage, beta.colors[v])
             done.add(v)
             restriction = tuple(st for st in full.steps if st.vertex in done)
             assert restriction == stage.sequence().steps

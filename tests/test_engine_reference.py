@@ -83,12 +83,12 @@ def test_local_best_choice_on_sequences_matches_reference(case):
             expected = ref.local_best_choice(*args, r, alpha[v], beta[v])
         except EmptyValidSet as e:
             try:
-                engine.local_best_choice(*args, walk, alpha[v], beta[v])
+                engine.local_best_choice(*args, walk, beta[v])
             except EmptyValidSet as f:
                 assert (str(f), f.vertex, f.step_index) == (str(e), e.vertex, e.step_index)
                 return
             raise AssertionError("expected EmptyValidSet")
-        engine.local_best_choice(*args, walk, alpha[v], beta[v])
+        engine.local_best_choice(*args, walk, beta[v])
         r = expected
         assert walk.sequence() == r
 
@@ -103,7 +103,7 @@ def star_walk(n):
     beta = Coloring((2,) + (1,) * (n - 1), 3)
     walk = engine._Walk(alpha)
     for v in ordering.order:
-        engine.local_best_choice(g, v, ordering.back_nbrs[v], walk, alpha[v], beta[v])
+        engine.local_best_choice(g, v, ordering.back_nbrs[v], walk, beta[v])
     return g, ordering, alpha, beta, walk
 
 

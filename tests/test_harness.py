@@ -472,6 +472,20 @@ class TestCli:
         assert obj["bridge_status"] == "oracle"
         assert obj["composed"]["start"] == [1, 2, 1, 2]
 
+    def test_pipeline_writes_an_empty_bridge_as_a_walk(self, tmp_path, capsys):
+        inst = tmp_path / "inst.json"
+        self.run(capsys, "gen", "--family", "ktree", "--n", "5", "--k", "2", "--seed", "3",
+                 "--out", str(inst))
+        code, stdout, _ = self.run(
+            capsys, "pipeline", "--graph", str(inst), "--td", str(inst), "--t", "5",
+            "--bridge", "oracle", "--alpha", "[1,2,3,3,1]", "--beta", "[5,4,3,3,5]",
+        )
+        assert code == 0
+        obj = json.loads(stdout)
+        assert obj["bridge_status"] == "oracle"
+        assert obj["bridge"] == {"palette": 5, "start": [1, 2, 3, 3, 1], "steps": []}
+        assert obj["composed"]["steps"] == [[4, 5], [1, 4], [0, 5]]
+
     @pytest.mark.parametrize("bad", [4, -1])
     def test_pipeline_rejects_bag_vertex_out_of_range(self, tmp_path, capsys, bad):
         code, stdout, err = self.run_c4_pipeline(

@@ -18,6 +18,7 @@ from recolor import (
     OracleInfeasible,
     RecoloringSequence,
     RecoloringStep,
+    StateCapExceeded,
     TreeDecomposition,
     UncoveredEdge,
     UncoveredVertex,
@@ -149,6 +150,11 @@ class TestProjectAndExpand:
         gamma2 = Coloring((3, 1, 2), 5)
         assert project_coloring(mm, gamma2).colors == (3, 1, 3, 2)
 
+    def test_project_rejects_a_coloring_of_another_size(self):
+        _, mm, _, _ = merge_by_coloring(c4(), c4_td(), Coloring((1, 2, 1, 2), 5))
+        with pytest.raises(ValueError, match="^coloring covers 2 vertices, quotient has 3$"):
+            project_coloring(mm, Coloring((1, 2), 5))
+
     def test_expand_replays_fibers_in_order(self):
         g, td = c4(), c4_td()
         _, mm, alpha2, _ = merge_by_coloring(g, td, Coloring((1, 2, 1, 2), 5))
@@ -192,8 +198,23 @@ class TestPipeline:
         g, td = c4(), c4_td()
         alpha = Coloring((1, 2, 1, 2), 5)
         beta = Coloring((2, 1, 2, 1), 5)
-        with pytest.raises(OracleInfeasible):
+        with pytest.raises(OracleInfeasible) as info:
             run_pipeline(g, td, alpha, beta, 5, state_cap=10)
+        # one error, both classes: the cap refusal is an OracleInfeasible
+        assert isinstance(info.value, StateCapExceeded)
+        assert str(info.value) == "state space 5**4 exceeds cap 10"
+
+    def test_empty_bridge_is_a_walk_not_null(self):
+        # gamma1 == gamma2 here, so the oracle bridge ran and is empty
+        g, td, _ = gen_ktree(5, 2, 3)
+        alpha = Coloring((1, 2, 3, 3, 1), 5)
+        beta = Coloring((5, 4, 3, 3, 5), 5)
+        res = run_pipeline(g, td, alpha, beta, 5)
+        assert res.bridge is not None and res.bridge.steps == ()
+        assert res.bridge_status == "oracle"
+        d = res.to_json_dict()
+        assert d["bridge"] == {"palette": 5, "start": [1, 2, 3, 3, 1], "steps": []}
+        assert d["composed"]["steps"] == [[4, 5], [1, 4], [0, 5]]
 
     def test_huge_state_space_surfaces_as_infeasible(self):
         n = 7000

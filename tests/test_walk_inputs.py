@@ -1,0 +1,90 @@
+"""Walk functions reject mismatched sizes and out-of-range step vertices
+with ValueError or a library error, never IndexError or KeyError."""
+
+from __future__ import annotations
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from recolor import (
+    Coloring,
+    EliminationOrdering,
+    Graph,
+    MergeMap,
+    RecolorError,
+    RecoloringSequence,
+    RecoloringStep,
+    analyze_sequence,
+    apply_sequence,
+    best_choice_sequence,
+    expand_sequence,
+    naughty_recolorings,
+    per_vertex_counts,
+    reverse_sequence,
+)
+
+T = 3
+
+
+def path(n):
+    return Graph(n, [(v, v + 1) for v in range(n - 1)])
+
+
+def call(name, n_graph, n_order, n_walk, steps):
+    """Run one walk function on a path of n_graph vertices, an ordering of
+    a path of n_order vertices and a walk over n_walk vertices."""
+    g = path(n_graph)
+    ordering = EliminationOrdering.from_order(path(n_order), range(n_order))
+    start = Coloring([1 + v % 2 for v in range(n_walk)], T)
+    if name == "build":
+        return best_choice_sequence(g, ordering, start, start)
+    s = RecoloringSequence(tuple(RecoloringStep(v, c) for v, c in steps), start)
+    if name == "apply":
+        return apply_sequence(g, s)
+    if name == "reverse":
+        return reverse_sequence(s)
+    if name == "counts":
+        return per_vertex_counts(s)
+    if name == "analyze":
+        return analyze_sequence(g, ordering, s)
+    if name == "naughty":
+        return naughty_recolorings(s, g, range(max(n_graph - 2, 0), n_graph))
+    assert name == "expand"
+    mm = MergeMap(tuple(range(n_graph)), tuple(frozenset({v}) for v in range(n_graph)))
+    return expand_sequence(mm, s)
+
+
+sizes = st.integers(min_value=0, max_value=5)
+
+
+# The seven calls that escaped as IndexError or KeyError: an ordering built
+# for another size (build, analyze), a graph larger than the walk's
+# coloring, an ordering that misses a stepped vertex, and a step vertex
+# outside the walk (counts, reverse, expand).  A clique scan over a graph
+# larger than the walk's coloring escaped the same way.
+@example("build", 3, 4, 3, [])
+@example("analyze", 3, 4, 3, [])
+@example("analyze", 4, 4, 3, [])
+@example("analyze", 4, 3, 4, [(3, 3)])
+@example("counts", 3, 3, 3, [(3, 2)])
+@example("reverse", 3, 3, 3, [(3, 2)])
+@example("expand", 3, 3, 3, [(3, 2)])
+@example("naughty", 4, 4, 3, [])
+@given(
+    st.sampled_from(
+        ("build", "apply", "reverse", "counts", "analyze", "naughty", "expand")
+    ),
+    sizes,
+    sizes,
+    sizes,
+    st.lists(
+        st.tuples(st.integers(min_value=-2, max_value=7), st.integers(1, T)),
+        max_size=6,
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_bad_sizes_and_ids_raise_library_errors(name, n_graph, n_order, n_walk, steps):
+    try:
+        call(name, n_graph, n_order, n_walk, steps)
+    except (ValueError, RecolorError):
+        pass
