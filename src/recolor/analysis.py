@@ -11,10 +11,7 @@ restriction it is defined over, not inside the full sequence.
 Conventions for a vertex v with earlier-neighbor set B, d = |B|:
   * restriction to B ∪ {v}: the subsequence of steps recoloring those
     vertices, with the start coloring kept whole for replaying colors.
-    `_restrictions` builds every vertex's restriction in a single pass
-    over the walk: each step joins the restriction of its own vertex and
-    of every vertex having it in B.  It also returns the positions of v's
-    own steps in the restriction, 0 being its first step;
+    Positions of v's own steps in it start at 0 for its first step;
   * a recoloring of v is "tight" when exactly d steps separate it from
     the next recoloring of v inside that restriction; the last
     recoloring of v is never tight;
@@ -25,11 +22,21 @@ Conventions for a vertex v with earlier-neighbor set B, d = |B|:
   * the budget inequality bounds v's recoloring count by
     1 + ceil((kappa - r) / d), kappa counting the recolorings of B and r
     the saved ones among them (by 1 when B is empty).
+
+Cost.  One pass over the walk lists each vertex's step indices.  Every
+check but the budget is defined over pairs of v's recolorings, and a
+vertex recolored at most once has all of B's steps saved (r = kappa,
+so its bound is 1): such a vertex is never in violation and costs O(d),
+its r read off B's counts.  Only a vertex recolored twice or more gets
+its restriction R, by sorting the d+1 sorted index lists (O(|R| log d));
+its saved count is then O(own steps) in closed form, and the pair checks
+read each revisit's window, replaying R at most once for coverage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import NotAClique
@@ -48,45 +55,38 @@ def per_vertex_counts(s: RecoloringSequence) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 # per-vertex checks over the restriction to B ∪ {v}
 
-_Restriction = tuple[list[RecoloringStep], list[int]]
 
-
-def _restrictions(
-    s: RecoloringSequence, ordering: EliminationOrdering
-) -> list[_Restriction]:
-    """Every vertex's restriction to B ∪ {v}, from one pass over s.
-
-    Entry v is (steps, pos): the steps of s recoloring v or one of its
-    earlier neighbors, in walk order (the step objects of s themselves),
-    and the positions of v's own steps among them.
-    """
-    out: list[_Restriction] = [([], []) for _ in ordering.back_nbrs]
-    watchers: list[list[list[RecoloringStep]]] = [[] for _ in ordering.back_nbrs]
-    for (rsteps, _), back in zip(out, ordering.back_nbrs):
-        for u in back:
-            watchers[u].append(rsteps)
-    for st in s.steps:
-        rsteps, pos = out[st.vertex]
-        pos.append(len(rsteps))
-        rsteps.append(st)
-        for rsteps in watchers[st.vertex]:
-            rsteps.append(st)
+def _step_indices(s: RecoloringSequence) -> list[list[int]]:
+    """Entry v: the indices in s of v's own steps, ascending."""
+    out: list[list[int]] = [[] for _ in s.start]
+    for i, (v, _) in enumerate(s.steps):
+        out[v].append(i)
     return out
+
+
+def _restriction(
+    s: RecoloringSequence, by_vertex: Sequence[Sequence[int]], members: Iterable[int]
+) -> list[RecoloringStep]:
+    """The steps of s recoloring one of `members`, in walk order (the step
+    objects of s themselves); the sort merges the members' sorted runs."""
+    steps = s.steps
+    return [steps[i] for i in sorted(chain.from_iterable(by_vertex[w] for w in members))]
 
 
 def _tight(pos: Sequence[int], d: int) -> list[int]:
     return [p for p, q in zip(pos, pos[1:]) if q - p - 1 == d]
 
 
-def _saved(rsteps: Sequence[RecoloringStep], pos: Sequence[int], d: int) -> list[int]:
-    saved = []
-    k = 0  # recolorings of v before position i
-    for i in range(len(rsteps)):
-        if k < len(pos) and pos[k] == i:
-            k += 1
-        elif k == 0 or k == len(pos) or pos[k - 1] < i - d:
-            saved.append(i)
-    return saved
+def _saved_count(m: int, pos: Sequence[int], d: int) -> int:
+    """How many of the m steps of a restriction are saved, pos being the
+    positions of v's own steps: all before v's first recoloring and after
+    its last, and in each gap between two of them all but the first d."""
+    if not pos:
+        return m
+    r = pos[0] + m - 1 - pos[-1]
+    for p, q in zip(pos, pos[1:]):
+        r += max(0, q - p - 1 - d)
+    return r
 
 
 @dataclass(frozen=True)
@@ -98,16 +98,16 @@ class Violation:
 
 
 def _save_inequality(
-    rsteps: Sequence[RecoloringStep], pos: Sequence[int], v: int, d: int
+    m: int, pos: Sequence[int], v: int, d: int
 ) -> tuple[int, list[Violation]]:
-    """The budget check: r, and a violation if v's recoloring count
-    exceeds its bound."""
+    """The budget check over a restriction of m steps: r, and a violation
+    if v's recoloring count exceeds its bound."""
     count_v = len(pos)
-    kappa = len(rsteps) - count_v
+    kappa = m - count_v
     if d == 0:
         r, bound = 0, 1
     else:
-        r = len(_saved(rsteps, pos, d))
+        r = _saved_count(m, pos, d)
         bound = 1 + -((-(kappa - r)) // d)  # 1 + ceil((kappa - r) / d)
     if count_v <= bound:
         return r, []
@@ -330,18 +330,26 @@ def analyze_sequence(
     tight_total = 0
     saved_total = 0
     rotating_total = 0
-    restrictions = _restrictions(s, ordering)
-    for v, (rsteps, pos) in enumerate(restrictions):
-        back = ordering.back_nbrs[v]
+    by_vertex = _step_indices(s)
+    for v, back in enumerate(ordering.back_nbrs):
         d = len(back)
+        # The spacing and budget guarantees hold once the palette leaves
+        # room beside the back-clique: t >= 2d+1 for this vertex's d.
+        roomy = t >= 2 * d + 1
+        if counts[v] < 2:
+            # Every check is over pairs of v's recolorings, so none fires,
+            # and every step of B is saved: r = kappa.
+            if roomy:
+                saved_total += sum(map(counts.__getitem__, back))
+            continue
+        rsteps = _restriction(s, by_vertex, (*back, v))
+        pos = [i for i, st in enumerate(rsteps) if st.vertex == v]
         tight_total += len(_tight(pos, d))
         if causation:
             violations.extend(_causation(rsteps, pos, s.start, v))
-        # The spacing and budget guarantees hold once the palette leaves
-        # room beside the back-clique: t >= 2d+1 for this vertex's d.
-        if t >= 2 * d + 1:
+        if roomy:
             violations.extend(_revisit_spacing(pos, v, d))
-            r, over = _save_inequality(rsteps, pos, v, d)
+            r, over = _save_inequality(len(rsteps), pos, v, d)
             saved_total += r
             violations.extend(over)
         if d == dmax and t == 2 * d + 1:
@@ -357,11 +365,7 @@ def analyze_sequence(
         naughty_counts = []
         for x in naughty_cliques:
             xs = _clique_ids(x, g.n)
-            # The other members of a clique X are earlier neighbors of its
-            # latest member, whose restriction therefore holds X's steps.
-            latest = max(xs, key=ordering.rank.__getitem__, default=None)
-            rsteps = restrictions[latest][0] if xs else []
-            rx = RecoloringSequence(tuple(rsteps), s.start)
+            rx = RecoloringSequence(tuple(_restriction(s, by_vertex, xs)), s.start)
             naughty_counts.append(len(naughty_recolorings(rx, g, xs)))
         stats["naughty_max"] = max(naughty_counts, default=0)
         stats["naughty_cliques"] = len(naughty_counts)

@@ -268,6 +268,9 @@ def local_best_choice(
     final step to beta_u is appended iff u does not already sit there.
     u starts at its color in the walk's start coloring.
     """
+    n = min(g.n, len(walk.start))
+    if not 0 <= u < n:
+        raise ValueError(f"vertex {u} outside 0..{n - 1}")
     t = walk.start.palette_size
     nbr_set = frozenset(nbrs)
     if not nbr_set <= g.adj[u]:

@@ -148,6 +148,14 @@ class EliminationOrdering:
     back_nbrs: tuple[tuple[int, ...], ...]
     perfect: bool = field(default=False, compare=False)
 
+    def __post_init__(self) -> None:
+        n = len(self.order)
+        if len(self.rank) != n or len(self.back_nbrs) != n:
+            raise ValueError(
+                f"ordering fields differ in length: order {n}, "
+                f"rank {len(self.rank)}, back_nbrs {len(self.back_nbrs)}"
+            )
+
     @classmethod
     def from_order(cls, g: Graph, order: Sequence[int]) -> "EliminationOrdering":
         order = tuple(order)

@@ -63,6 +63,18 @@ class TestTightAndSaved:
         # both of vertex 1's steps are saved for vertex 2, none for vertex 1
         assert analyze_sequence(P3, O3, worked_trace()).stats["saved"] == 2
 
+    def test_tight_and_saved_with_zero_one_and_two_recolorings(self):
+        # P4 at t = 3 = 2d+1: vertex 3 is never recolored (r = kappa = 1),
+        # vertices 0 (d = 0, r = 0) and 2 (r = kappa = 2) once, and vertex 1
+        # twice with one tight gap that saves nothing
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        o = EliminationOrdering.from_order(g, (0, 1, 2, 3))
+        s = seq([(1, 3), (0, 2), (2, 2), (1, 1)], (1, 2, 1, 3), 3)
+        apply_sequence(g, s)
+        assert per_vertex_counts(s) == {0: 1, 1: 2, 2: 1, 3: 0}
+        stats = analyze_sequence(g, o, s).stats
+        assert (stats["saved"], stats["tight"]) == (3, 1)
+
     def test_save_inequality_on_worked_trace(self):
         assert found(worked_trace(), "save-inequality") == []
         # with no saved step, 3 recolorings of v exceed 1 + ceil(1 / 1)

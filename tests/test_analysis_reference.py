@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from recolor import (
@@ -14,6 +14,7 @@ from recolor import (
     RecoloringSequence,
     RecoloringStep,
     RecolorError,
+    analysis,
     analyze_sequence,
     best_choice_sequence,
     degeneracy,
@@ -103,3 +104,18 @@ def test_report_matches_reference(case, causation, data):
 
     assert outcome(report, analyze_sequence) == outcome(report, ref.analyze_sequence)
 
+
+
+# v = 0 recolors where the flag is set, a member of B elsewhere.
+@example([False, False, False], 1)  # v never recolored: every step saved
+@example([False, True, False, False], 1)  # one recoloring of v
+@example([True, False, False, False, True], 1)  # a gap above d
+@example([True, False, True, False, False, True], 2)  # gaps below d
+@example([True, True], 0)
+@example([], 3)
+@given(st.lists(st.booleans(), max_size=30), st.integers(min_value=0, max_value=4))
+@settings(max_examples=300, deadline=None)
+def test_saved_count_matches_reference(own, d):
+    rsteps = [RecoloringStep(0 if mine else 1, 1) for mine in own]
+    pos = [i for i, mine in enumerate(own) if mine]
+    assert analysis._saved_count(len(rsteps), pos, d) == len(ref._saved(rsteps, 0, d))

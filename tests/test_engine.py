@@ -165,6 +165,21 @@ class TestLocalBestChoice:
         assert out.sequence().steps == ()
 
 
+    @pytest.mark.parametrize(
+        "n_graph, n_walk, u",
+        [
+            (3, 3, 5),  # outside the graph and the walk
+            (4, 3, 3),  # inside the graph, outside the walk
+            (3, 3, -1),  # negative: would wrap to the last vertex
+        ],
+    )
+    def test_vertex_out_of_range_rejected(self, n_graph, n_walk, u):
+        g = Graph(n_graph, [(v, v + 1) for v in range(n_graph - 1)])
+        out = walk([], [1 + v % 2 for v in range(n_walk)], 3)
+        with pytest.raises(ValueError, match=f"vertex {u} outside 0..2"):
+            local_best_choice(g, u, frozenset(), out, beta_u=1)
+
+
 class TestBestChoiceSequence:
     def test_worked_example(self):
         g = p3()

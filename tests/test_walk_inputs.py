@@ -3,6 +3,9 @@ with ValueError or a library error, never IndexError or KeyError."""
 
 from __future__ import annotations
 
+import dataclasses
+
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -88,3 +91,27 @@ def test_bad_sizes_and_ids_raise_library_errors(name, n_graph, n_order, n_walk, 
         call(name, n_graph, n_order, n_walk, steps)
     except (ValueError, RecolorError):
         pass
+
+
+@pytest.mark.parametrize("name", ["build", "analyze"])
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"rank": (0, 1)},
+        {"back_nbrs": ((), (0,))},
+        {"back_nbrs": ((), (0,), (1,), (2,))},
+        {"rank": (0, 1, 2, 3), "perfect": True},
+    ],
+)
+def test_ordering_fields_of_different_lengths_rejected(name, change):
+    """A hand-built ordering whose rank or back_nbrs does not match its
+    order in length is refused before it reaches a walk function."""
+    g = path(3)
+    ordering = EliminationOrdering.from_order(g, range(3))
+    start = Coloring([1, 2, 1], T)
+    with pytest.raises(ValueError, match="ordering fields differ in length"):
+        bad = dataclasses.replace(ordering, **change)
+        if name == "build":
+            best_choice_sequence(g, bad, start, start)
+        else:
+            analyze_sequence(g, bad, RecoloringSequence((RecoloringStep(2, 3),), start))
