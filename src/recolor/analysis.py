@@ -317,12 +317,22 @@ def analyze_sequence(
     budget) are applied per vertex only when t >= 2d+1 for that vertex's
     back-degree d, so reported violations are genuine at any palette.
     The palette-coverage check runs on the max-back-degree vertices when
-    the palette is exactly 2d+1 for them.
+    the palette is exactly 2d+1 for them.  An ordering whose
+    back-neighborhood of some v names a vertex that is not a neighbor of v
+    in g (one outside 0..n-1 included) raises ValueError naming both.
     """
     if len(ordering.order) != g.n:
         raise ValueError(f"ordering covers {len(ordering.order)} vertices, graph has {g.n}")
     if len(s.start) != g.n:
         raise ValueError(f"walk covers {len(s.start)} vertices, graph has {g.n}")
+    if not all(map(frozenset.issuperset, g.adj, ordering.back_nbrs)):
+        v, u = next(
+            (v, u)
+            for v, back in enumerate(ordering.back_nbrs)
+            for u in back
+            if u not in g.adj[v]
+        )
+        raise ValueError(f"back-neighborhood of {v} names {u}, not a neighbor of {v}")
     counts = per_vertex_counts(s)
     dmax = ordering.max_back_degree
     t = s.palette_size

@@ -14,20 +14,22 @@ color and otherwise postpones the next forced move as long as possible.
 The walk under construction is a doubly linked list of step nodes with
 integer order labels (`_Walk`); each vertex keeps its own nodes in walk
 order, and `local_best_choice` splices one vertex into it in place.  A
-vertex's restriction, the steps of its earlier neighbors, is one sort of
-their node lists by label, and each spliced step is linked in before its
-triggering node.  A closed label gap relabels the smallest sparse enough
-window around it, not the whole list.  Folding in all vertices costs
-O((n + L) log L) for the list, where L is the walk's length, plus
-O(|R| log d) to sort each restriction R (the sort merges the d sorted
-node lists) and O(|R|) per color choice made against it:
-O((n + L) log L + sum of |R|) when back-degrees and choices per vertex
-are bounded.  The tuple of steps is built once, at the end.
+vertex's restriction R is the steps of its earlier neighbors.  When none
+of them takes the vertex's start color, the vertex never moves before its
+final step, and its splice costs O(d + |R|) with no sort.  Otherwise R is
+one sort of the neighbors' node lists by label, and each spliced step is
+linked in before its triggering node.  A closed label gap relabels the
+smallest sparse enough window around it, not the whole list.  Folding in
+all vertices costs O((n + L) log L) for the list, where L is the walk's
+length, plus O(|R| log d) to sort the restriction R of each vertex that
+must move (the sort merges the d sorted node lists) and O(|R|) per color
+choice made against it: O((n + L) log L + sum of |R|) when back-degrees
+and choices per vertex are bounded.  The tuple of steps is built once,
+at the end.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
@@ -188,7 +190,8 @@ class _Walk:
     relabelled evenly (Bender et al., ESA 2002, "Two simplified algorithms
     for maintaining order in a list"), which they show costs O(log L)
     amortized relabels per insertion.  `by_vertex[v]` lists v's own steps
-    in walk order, as long as v's steps are inserted in walk order.
+    in walk order, as long as v's steps are inserted in walk order; a
+    vertex without steps has no entry.
     """
 
     def __init__(self, start: Coloring):
@@ -197,7 +200,7 @@ class _Walk:
         self.tail = _Node(-1, 0, -1)  # its label is never read
         self.head.next = self.tail
         self.tail.prev = self.head
-        self.by_vertex: defaultdict[int, list[_Node]] = defaultdict(list)
+        self.by_vertex: dict[int, list[_Node]] = {}
         self.relabelled = 0  # nodes relabelled so far, for the cost bound
 
     def __iter__(self):
@@ -210,7 +213,7 @@ class _Walk:
         return next(i for i, x in enumerate(self) if x is node)
 
     def sequence(self) -> RecoloringSequence:
-        steps = tuple(RecoloringStep(x.vertex, x.color) for x in self)
+        steps = tuple([RecoloringStep(x.vertex, x.color) for x in self])
         return RecoloringSequence(steps, self.start)
 
     def insert_before(self, y: _Node, vertex: int, color: int) -> None:
@@ -225,7 +228,7 @@ class _Walk:
                 # anchor the window at a real neighbour's label
                 z.label = y.label if x is self.head else x.label
                 self._relabel(z)
-        self.by_vertex[vertex].append(z)
+        self.by_vertex.setdefault(vertex, []).append(z)
 
     def _relabel(self, z: _Node) -> None:
         """Spread labels evenly over the smallest window around z's label
@@ -267,16 +270,40 @@ def local_best_choice(
     moving u to a best-choice color is inserted immediately before it; a
     final step to beta_u is appended iff u does not already sit there.
     u starts at its color in the walk's start coloring.
+
+    When no neighbor step takes u's start color, u never moves before
+    its final step, which is then appended in O(d + |R|), d = len(nbrs)
+    and R the neighbors' steps, with no sort.  Otherwise `_splice` sorts
+    R and makes the color choices.
     """
-    n = min(g.n, len(walk.start))
-    if not 0 <= u < n:
-        raise ValueError(f"vertex {u} outside 0..{n - 1}")
+    start = walk.start.colors
+    if not (0 <= u < g.n and u < len(start)):
+        raise ValueError(f"vertex {u} outside 0..{min(g.n, len(start)) - 1}")
+    nbrs = tuple(nbrs)
+    if not g.adj[u].issuperset(nbrs):
+        raise ValueError(f"nbrs must be neighbors of {u}")
+    by_vertex = walk.by_vertex
+    u_color = start[u]
+    for w in nbrs:
+        if w in by_vertex:
+            for node in by_vertex[w]:
+                if node.color == u_color:
+                    _splice(u, nbrs, walk, beta_u, stats)
+                    return
+    if u_color != beta_u:
+        walk.insert_before(walk.tail, u, beta_u)
+
+
+def _splice(
+    u: int, nbrs: tuple[int, ...], walk: _Walk, beta_u: int, stats: dict | None
+) -> None:
+    """`local_best_choice` for a u that some neighbor step forces to move."""
     t = walk.start.palette_size
     nbr_set = frozenset(nbrs)
-    if not nbr_set <= g.adj[u]:
-        raise ValueError(f"nbrs must be neighbors of {u}")
+    by_vertex = walk.by_vertex
     restriction = sorted(
-        chain.from_iterable(walk.by_vertex[w] for w in nbr_set), key=_label
+        chain.from_iterable(by_vertex[w] for w in nbr_set if w in by_vertex),
+        key=_label,
     )
     nbr_colors = [node.color for node in restriction]
 
@@ -324,8 +351,9 @@ def best_choice_sequence(
     if not is_proper(g, beta):
         raise ImproperInput("beta is not proper")
     walk = _Walk(alpha)
+    back, final = ordering.back_nbrs, beta.colors
     for v in ordering.order:
-        local_best_choice(g, v, ordering.back_nbrs[v], walk, beta[v], stats)
+        local_best_choice(g, v, back[v], walk, final[v], stats)
     s = walk.sequence()
     end = apply_sequence(g, s)
     if end.colors != beta.colors:

@@ -164,10 +164,10 @@ class EliminationOrdering:
         rank = [0] * g.n
         for i, v in enumerate(order):
             rank[v] = i
-        back = []
-        for v in range(g.n):
-            rv = rank[v]
-            back.append(tuple(sorted(u for u in g.adj[v] if rank[u] < rv)))
+        back = [
+            tuple(sorted([u for u in nbrs if rank[u] < rv]))
+            for nbrs, rv in zip(g.adj, rank)
+        ]
         return cls(order, tuple(rank), tuple(back))
 
     @property
@@ -195,23 +195,31 @@ def _peel(g: Graph, key: list[int]) -> tuple[list[int], int]:
     each take lowers every untaken neighbor's key (updated in place) by one.
     Returns the order of takes and the largest key at a take, at least 0.
     A lazy heap that skips stale entries makes it O((n + m) log n).
+
+    A heap entry is the one integer key * n + v: as 0 <= v < n, integers
+    order exactly as (key, v) pairs do, negative keys included, and
+    divmod by n gives both back, so the n + m pushes build no tuples.
     """
-    heap = [(k, v) for v, k in enumerate(key)]
+    n = g.n
+    adj = g.adj
+    heap = [k * n + v for v, k in enumerate(key)]
     heapq.heapify(heap)
-    taken = [False] * g.n
+    pop, push = heapq.heappop, heapq.heappush
+    taken = [False] * n
     order = []
     top = 0
     while heap:
-        k, v = heapq.heappop(heap)
+        k, v = divmod(pop(heap), n)
         if k != key[v]:
             continue
         taken[v] = True
         order.append(v)
-        top = max(top, k)
-        for u in g.adj[v]:
+        if k > top:
+            top = k
+        for u in adj[v]:
             if not taken[u]:
                 key[u] -= 1
-                heapq.heappush(heap, (key[u], u))
+                push(heap, key[u] * n + u)
     return order, top
 
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from recolor import (
     RecoloringSequence,
     degeneracy,
     engine,
+    gen_chordal,
     gen_instance,
     gen_random_coloring,
     mcs_peo,
@@ -119,3 +121,20 @@ def test_star_relabelling_is_near_linear():
 def test_star_walk_matches_reference():
     g, ordering, alpha, beta, walk = star_walk(300)
     assert walk.sequence() == ref.best_choice_sequence(g, ordering, alpha, beta)
+
+
+@pytest.mark.parametrize("rule", ["d+2", "2d+1"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_best_choice_sequence_matches_reference_at_benchmark_scale(seed, rule):
+    # chordal inputs of benchmark shape under mcs_peo, where hundreds of
+    # vertices must move and take the sorting splice
+    g = gen_chordal(300, 3, seed).graph
+    ordering = mcs_peo(g)
+    d = ordering.max_back_degree
+    t = d + 2 if rule == "d+2" else 2 * d + 1
+    alpha = gen_random_coloring(g, ordering, t, seed + 10)
+    beta = gen_random_coloring(g, ordering, t, seed + 20)
+    got = outcome(engine.best_choice_sequence, g, ordering, alpha, beta)
+    assert got == outcome(ref.best_choice_sequence, g, ordering, alpha, beta)
+    s, blocked = got
+    assert len(s) > 0 and blocked > 0

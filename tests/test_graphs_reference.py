@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -78,3 +79,17 @@ def test_colorings_match_reference(g, by_degeneracy, data):
     assert outcome(gen_random_coloring, g, ordering, palette, seed) == outcome(
         ref.gen_random_coloring, g, ordering, palette, seed
     )
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("family", ["chordal", "partial-2tree"])
+def test_orderings_match_reference_at_benchmark_scale(family, seed):
+    # at n=1000 the integer heap keys key * n + v span a range the
+    # hypothesis graphs (n <= 30) barely reach; a partial 2-tree is mostly
+    # not chordal, so mcs_peo's NotChordal witness is compared too
+    if family == "chordal":
+        g = gen_chordal(1000, 3, seed).graph
+    else:
+        g = gen_partial_ktree(1000, 2, seed).graph
+    assert outcome(mcs_peo, g) == outcome(ref.mcs_peo, g)
+    assert outcome(degeneracy, g) == outcome(ref.degeneracy, g)

@@ -115,3 +115,52 @@ def test_ordering_fields_of_different_lengths_rejected(name, change):
             best_choice_sequence(g, bad, start, start)
         else:
             analyze_sequence(g, bad, RecoloringSequence((RecoloringStep(2, 3),), start))
+
+
+@pytest.mark.parametrize("name", ["build", "analyze"])
+@pytest.mark.parametrize("steps", [[(2, 3)], [(2, 3), (2, 1)]])
+@pytest.mark.parametrize("third", [(5,), (-1,), (0,), (1, 5)])
+def test_back_neighborhood_outside_the_graph_rejected(name, steps, third):
+    """A hand-built back-neighborhood of vertex 2 on the path 0-1-2 naming
+    a vertex outside 0..2 (5, -1) or a non-neighbor (0) is refused with
+    ValueError, whether 2 is recolored once or twice; it used to raise
+    IndexError or KeyError in analysis, or analyze the wrong restriction."""
+    g = path(3)
+    bad = EliminationOrdering((0, 1, 2), (0, 1, 2), ((), (0,), third))
+    start = Coloring([1, 2, 1], T)
+    culprit = next(u for u in third if u not in g.adj[2])
+    if name == "build":
+        with pytest.raises(ValueError, match="nbrs must be neighbors of 2"):
+            best_choice_sequence(g, bad, start, start)
+    else:
+        s = RecoloringSequence(tuple(RecoloringStep(v, c) for v, c in steps), start)
+        with pytest.raises(
+            ValueError, match=f"back-neighborhood of 2 names {culprit}, not a neighbor of 2"
+        ):
+            analyze_sequence(g, bad, s)
+
+
+@given(
+    st.lists(
+        st.frozensets(st.integers(min_value=-2, max_value=5), max_size=3),
+        min_size=4,
+        max_size=4,
+    ),
+    st.lists(st.tuples(st.integers(0, 3), st.integers(1, T)), max_size=6),
+)
+@settings(max_examples=200, deadline=None)
+def test_analysis_rejects_exactly_the_bad_back_neighborhoods(backs, steps):
+    """ValueError iff some back-neighborhood leaves its vertex's
+    neighborhood on the path 0-1-2-3; otherwise the analysis runs."""
+    g = path(4)
+    ordering = EliminationOrdering(
+        (0, 1, 2, 3), (0, 1, 2, 3), tuple(tuple(sorted(b)) for b in backs)
+    )
+    s = RecoloringSequence(
+        tuple(RecoloringStep(v, c) for v, c in steps), Coloring([1, 2, 1, 2], T)
+    )
+    if all(b <= g.adj[v] for v, b in enumerate(backs)):
+        analyze_sequence(g, ordering, s)
+    else:
+        with pytest.raises(ValueError, match="not a neighbor of"):
+            analyze_sequence(g, ordering, s)
