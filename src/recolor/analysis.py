@@ -40,7 +40,7 @@ from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import NotAClique
-from .graphs import Coloring, EliminationOrdering, Graph
+from .graphs import Coloring, EliminationOrdering, Graph, _check_fits
 from .engine import RecoloringSequence, RecoloringStep
 
 
@@ -317,22 +317,18 @@ def analyze_sequence(
     budget) are applied per vertex only when t >= 2d+1 for that vertex's
     back-degree d, so reported violations are genuine at any palette.
     The palette-coverage check runs on the max-back-degree vertices when
-    the palette is exactly 2d+1 for them.  An ordering whose
-    back-neighborhood of some v names a vertex that is not a neighbor of v
-    in g (one outside 0..n-1 included) raises ValueError naming both.
+    the palette is exactly 2d+1 for them.  An ordering that does not fit
+    g (`graphs._check_fits`) or whose back-neighborhood of some v repeats
+    a vertex raises ValueError naming v.
     """
-    if len(ordering.order) != g.n:
-        raise ValueError(f"ordering covers {len(ordering.order)} vertices, graph has {g.n}")
+    _check_fits(g, ordering)
     if len(s.start) != g.n:
         raise ValueError(f"walk covers {len(s.start)} vertices, graph has {g.n}")
-    if not all(map(frozenset.issuperset, g.adj, ordering.back_nbrs)):
-        v, u = next(
-            (v, u)
-            for v, back in enumerate(ordering.back_nbrs)
-            for u in back
-            if u not in g.adj[v]
-        )
-        raise ValueError(f"back-neighborhood of {v} names {u}, not a neighbor of {v}")
+    backs = ordering.back_nbrs
+    # a set is never longer than its tuple, so equal totals mean no repeat
+    if sum(map(len, map(frozenset, backs))) != sum(map(len, backs)):
+        v = next(v for v, back in enumerate(backs) if len(set(back)) < len(back))
+        raise ValueError(f"back-neighborhood of {v} repeats a vertex")
     counts = per_vertex_counts(s)
     dmax = ordering.max_back_degree
     t = s.palette_size
@@ -341,7 +337,7 @@ def analyze_sequence(
     saved_total = 0
     rotating_total = 0
     by_vertex = _step_indices(s)
-    for v, back in enumerate(ordering.back_nbrs):
+    for v, back in enumerate(backs):
         d = len(back)
         # The spacing and budget guarantees hold once the palette leaves
         # room beside the back-clique: t >= 2d+1 for this vertex's d.

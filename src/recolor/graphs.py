@@ -51,9 +51,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 
@@ -137,23 +134,20 @@ def is_proper(g: Graph, coloring: Coloring) -> bool:
 class EliminationOrdering:
     """A vertex ordering together with its back-neighborhoods.
 
-    order[i] is the i-th vertex; rank is the inverse permutation.  The
-    back-neighborhood of v collects the neighbors of v that appear earlier
-    in the ordering.  `perfect` is True only when the ordering was
-    certified: every back-neighborhood is a clique.
+    order[i] is the i-th vertex; back_nbrs[v] collects the neighbors of v
+    that appear earlier in the ordering.  `perfect` is True only when the
+    ordering was certified: every back-neighborhood is a clique.
     """
 
     order: tuple[int, ...]
-    rank: tuple[int, ...]
     back_nbrs: tuple[tuple[int, ...], ...]
     perfect: bool = field(default=False, compare=False)
 
     def __post_init__(self) -> None:
-        n = len(self.order)
-        if len(self.rank) != n or len(self.back_nbrs) != n:
+        if len(self.back_nbrs) != len(self.order):
             raise ValueError(
-                f"ordering fields differ in length: order {n}, "
-                f"rank {len(self.rank)}, back_nbrs {len(self.back_nbrs)}"
+                f"ordering fields differ in length: order {len(self.order)}, "
+                f"back_nbrs {len(self.back_nbrs)}"
             )
 
     @classmethod
@@ -168,19 +162,33 @@ class EliminationOrdering:
             tuple(sorted([u for u in nbrs if rank[u] < rv]))
             for nbrs, rv in zip(g.adj, rank)
         ]
-        return cls(order, tuple(rank), tuple(back))
+        return cls(order, tuple(back))
 
     @property
     def max_back_degree(self) -> int:
         return max((len(b) for b in self.back_nbrs), default=0)
 
 
+def _check_fits(g: Graph, ordering: EliminationOrdering) -> None:
+    """Raise ValueError unless the ordering has g.n entries and each
+    back-neighborhood lies inside its vertex's neighborhood in g."""
+    if len(ordering.order) != g.n:
+        raise ValueError(f"ordering covers {len(ordering.order)} vertices, graph has {g.n}")
+    if not all(map(frozenset.issuperset, g.adj, ordering.back_nbrs)):
+        for v, back in enumerate(ordering.back_nbrs):
+            for u in back:
+                if u not in g.adj[v]:
+                    raise ValueError(f"back-neighborhood of {v} names {u}, not a neighbor of {v}")
+
+
 def certify_perfect(g: Graph, ordering: EliminationOrdering) -> EliminationOrdering:
     """Check that every back-neighborhood is a clique.
 
     Returns a copy with perfect=True on success; raises NotChordal with a
-    witness vertex and missing edge otherwise.
+    witness vertex and missing edge otherwise.  An ordering that does not
+    fit g (see `_check_fits`) raises ValueError.
     """
+    _check_fits(g, ordering)
     for v in range(g.n):
         b = ordering.back_nbrs[v]
         for i in range(len(b)):

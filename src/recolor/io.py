@@ -127,20 +127,12 @@ def read_graph(path: str | Path) -> Graph:
     return graph_from_text(text)
 
 
-def coloring_to_json(c: Coloring) -> list[int]:
-    return list(c.colors)
-
-
 def coloring_from_json(obj: list, palette: int) -> Coloring:
     return Coloring(_ints(obj, "a coloring file"), palette)
 
 
 def read_coloring(path: str | Path, palette: int) -> Coloring:
     return coloring_from_json(_load(Path(path).read_text()), palette)
-
-
-def write_coloring(path: str | Path, c: Coloring) -> None:
-    Path(path).write_text(json.dumps(coloring_to_json(c)) + "\n")
 
 
 def decomposition_to_json(td: TreeDecomposition) -> dict:
@@ -187,7 +179,3 @@ def sequence_from_json(obj: dict) -> RecoloringSequence:
 
 def read_sequence(path: str | Path) -> RecoloringSequence:
     return sequence_from_json(_load(Path(path).read_text()))
-
-
-def write_sequence(path: str | Path, s: RecoloringSequence) -> None:
-    Path(path).write_text(json.dumps(sequence_to_json(s), indent=1) + "\n")

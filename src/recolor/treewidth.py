@@ -18,15 +18,15 @@ an exhaustive-search walk.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
 from .errors import (
     DisconnectedTrace,
+    ImproperEndpoint,
     ImproperInput,
     OracleInfeasible,
-    RecolorError,
     UncoveredEdge,
     UncoveredVertex,
 )
@@ -122,11 +122,22 @@ def validate_decomposition(g: Graph, td: TreeDecomposition) -> int:
 
 @dataclass(frozen=True)
 class MergeMap:
-    """Projection pi from original vertices onto quotient vertices, plus
-    the fibers (preimages).  Fibers partition the original vertex set."""
+    """Projection pi from original vertices onto quotient vertices 0..q-1.
+    `fibers[i]`, the preimage of i as an ascending tuple, is built from pi at
+    construction; a negative id or a member-less quotient vertex is refused."""
 
     pi: tuple[int, ...]
-    fibers: tuple[frozenset[int], ...]
+    fibers: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if min(self.pi, default=0) < 0:
+            raise ValueError(f"pi maps a vertex to {min(self.pi)}, a negative id")
+        fibers: list[list[int]] = [[] for _ in range(max(self.pi, default=-1) + 1)]
+        for v, q in enumerate(self.pi):
+            fibers[q].append(v)
+        if not all(fibers):
+            raise ValueError(f"quotient vertex {fibers.index([])} has no members")
+        object.__setattr__(self, "fibers", tuple(map(tuple, fibers)))
 
     @property
     def n_original(self) -> int:
@@ -177,10 +188,6 @@ def merge_by_coloring(g: Graph, td: TreeDecomposition, alpha: Coloring) -> Merge
     reps = sorted({find(v) for v in range(n)})
     index = {rep: i for i, rep in enumerate(reps)}
     pi = tuple(index[find(v)] for v in range(n))
-    fibers = [set() for _ in reps]
-    for v in range(n):
-        fibers[pi[v]].add(v)
-    mm = MergeMap(pi, tuple(frozenset(f) for f in fibers))
 
     # Validation put every edge of g in a bag, so the bag cliques below
     # already hold the projection of every edge.
@@ -193,14 +200,14 @@ def merge_by_coloring(g: Graph, td: TreeDecomposition, alpha: Coloring) -> Merge
     g2 = Graph(len(reps), edges)
     alpha2 = Coloring([alpha[rep] for rep in reps], alpha.palette_size)
     td2 = TreeDecomposition(tuple(new_bags), td.tree_edges)
-    return MergeResult(g2, mm, alpha2, td2)
+    return MergeResult(g2, MergeMap(pi), alpha2, td2)
 
 
 def project_coloring(mm: MergeMap, gamma2: Coloring) -> Coloring:
     """Pull a quotient coloring back to the original vertices."""
     if len(gamma2) != mm.n_quotient:
         raise ValueError(f"coloring covers {len(gamma2)} vertices, quotient has {mm.n_quotient}")
-    return Coloring([gamma2[mm.pi[v]] for v in range(mm.n_original)], gamma2.palette_size)
+    return Coloring([gamma2.colors[q] for q in mm.pi], gamma2.palette_size)
 
 
 def expand_sequence(mm: MergeMap, s2: RecoloringSequence) -> RecoloringSequence:
@@ -209,11 +216,8 @@ def expand_sequence(mm: MergeMap, s2: RecoloringSequence) -> RecoloringSequence:
     assumed valid; fibers are independent sets, so the expanded walk is
     then proper at every intermediate point."""
     start = project_coloring(mm, s2.start)  # checks the walk's size first
-    steps = []
-    for v, c in s2.steps:
-        for u in sorted(mm.fibers[v]):
-            steps.append(RecoloringStep(u, c))
-    return RecoloringSequence(tuple(steps), start)
+    steps = tuple(RecoloringStep(u, c) for v, c in s2.steps for u in mm.fibers[v])
+    return RecoloringSequence(steps, start)
 
 
 @dataclass
@@ -241,7 +245,7 @@ class PipelineResult:
     def to_json_dict(self) -> dict:
         from .io import sequence_to_json
 
-        out = {
+        return {
             "schema_version": 1,
             "bridge_status": self.bridge_status,
             "gamma1": list(self.gamma1.colors),
@@ -252,7 +256,6 @@ class PipelineResult:
             "composed": None if self.composed is None else sequence_to_json(self.composed),
             "per_vertex": {str(v): c for v, c in sorted(self.per_vertex.items())},
         }
-        return out
 
 
 def _half_sequence(
@@ -286,22 +289,24 @@ def run_pipeline(
     quotients, to greedy (k+1)-colorings gamma1 and gamma2.  With
     bridge="oracle" the two are joined by a shortest walk found by
     exhaustive search (OracleInfeasible if t**n exceeds the cap) and the
-    full composition is validated to end exactly at beta; with
-    bridge="none" the two half-walks are returned on their own.
+    full composition is validated to end exactly at beta (ImproperEndpoint
+    otherwise); with bridge="none" the two half-walks are returned on their
+    own.  The bridge name, t >= 2k+1 and the oracle's cap are checked
+    before anything is merged.
     """
+    if bridge not in ("oracle", "none"):
+        raise ValueError(f"unknown bridge {bridge!r}")
+    k = max(td.width, 0)  # an empty instance has width -1; its halves are empty
+    if t < 2 * k + 1:
+        validate_decomposition(g, td)  # the width of a malformed one means nothing
+        raise ValueError(f"palette {t} too small for width {k}; need >= {2 * k + 1}")
+    if bridge == "oracle":
+        _oracle._check_cap(g, t, state_cap)
     alpha = alpha.with_palette(t)
     beta = beta.with_palette(t)
     # each merge validates the decomposition and checks its coloring is proper
     alpha_merged = merge_by_coloring(g, td, alpha)
     beta_merged = merge_by_coloring(g, td, beta)
-    k = max(td.width, 0)  # an empty instance has width -1; its halves are empty
-    if t < 2 * k + 1:
-        raise ValueError(f"palette {t} too small for width {k}; need >= {2 * k + 1}")
-    if bridge == "oracle":
-        # refuse an oracle bridge over the cap before building the halves
-        _oracle._check_cap(g, t, state_cap)
-    elif bridge != "none":
-        raise ValueError(f"unknown bridge {bridge!r}")
     alpha_side, gamma1 = _half_sequence(alpha_merged, k, t)
     beta_side, gamma2 = _half_sequence(beta_merged, k, t)
 
@@ -318,7 +323,7 @@ def run_pipeline(
         composed = RecoloringSequence(composed_steps, alpha)
         end = apply_sequence(g, composed)
         if end.colors != beta.colors:
-            raise RecolorError("composed sequence does not end at beta")
+            raise ImproperEndpoint("composed sequence does not end at beta")
         steps = composed.steps
     per_vertex = {v: 0 for v in range(g.n)}
     for st in steps:

@@ -14,7 +14,9 @@ from recolor import (
     Coloring,
     DisconnectedTrace,
     Graph,
+    ImproperEndpoint,
     ImproperInput,
+    MergeMap,
     OracleInfeasible,
     RecoloringSequence,
     RecoloringStep,
@@ -96,7 +98,7 @@ class TestMergeByColoring:
         alpha = Coloring((1, 2, 1, 2), 2)
         g2, mm, alpha2, td2 = merge_by_coloring(g, td, alpha)
         assert mm.pi == (0, 1, 0, 2)
-        assert mm.fibers == (frozenset({0, 2}), frozenset({1}), frozenset({3}))
+        assert mm.fibers == ((0, 2), (1,), (3,))
         assert sorted(g2.edges()) == [(0, 1), (0, 2)]
         assert alpha2.colors == (1, 2, 2)
         assert td2.bags == (frozenset({0, 1}), frozenset({0, 2}))
@@ -112,7 +114,7 @@ class TestMergeByColoring:
         res = merge_by_coloring(g, td, Coloring((1, 2, 3, 4), 4))
         assert res.merge_map.pi == (0, 1, 2, 3)
         # Bags became cliques, so the chords appear.
-        assert res.graph.has_edge(0, 2)
+        assert 2 in res.graph.adj[0]
 
     def test_improper_input_rejected(self):
         with pytest.raises(ImproperInput):
@@ -137,7 +139,7 @@ class TestMergeByColoring:
             members = sorted(fiber)
             for i, u in enumerate(members):
                 for v in members[i + 1 :]:
-                    assert not g.has_edge(u, v)
+                    assert v not in g.adj[u]
         # No bag keeps two classes of one color.
         for b in td2.bags:
             cols = [alpha2[v] for v in b]
@@ -145,6 +147,23 @@ class TestMergeByColoring:
 
 
 class TestProjectAndExpand:
+    def test_merge_map_derives_ascending_fibers_from_pi(self):
+        mm = MergeMap((1, 0, 1, 2, 0))
+        assert mm.fibers == ((1, 4), (0, 2), (3,))
+        assert (mm.n_original, mm.n_quotient) == (5, 3)
+        assert MergeMap(()).fibers == ()
+
+    @pytest.mark.parametrize(
+        "pi, message",
+        [
+            ((0, -1, 1), "pi maps a vertex to -1, a negative id"),
+            ((0, 2, 2), "quotient vertex 1 has no members"),
+        ],
+    )
+    def test_merge_map_rejects_negative_ids_and_empty_fibers(self, pi, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            MergeMap(pi)
+
     def test_project_pulls_back_through_fibers(self):
         mm = merge_by_coloring(c4(), c4_td(), Coloring((1, 2, 1, 2), 2)).merge_map
         gamma2 = Coloring((3, 1, 2), 5)
@@ -316,7 +335,33 @@ def test_over_cap_oracle_bridge_is_refused_before_the_halves(monkeypatch):
     _, o = degeneracy(g)
     alpha = gen_random_coloring(g, o, 5, 4)
     beta = gen_random_coloring(g, o, 5, 5)
+    merged = _count_calls(monkeypatch, recolor.treewidth.merge_by_coloring)
     built = _count_calls(monkeypatch, recolor.engine.best_choice_sequence)
     with pytest.raises(OracleInfeasible, match=r"^state space 5\*\*30 exceeds cap 2000000$"):
         run_pipeline(g, td, alpha, beta, 5, bridge="oracle")
-    assert built == []
+    assert merged == built == []
+
+
+@pytest.mark.parametrize(
+    "bridge, t, message",
+    [
+        ("exact", 5, "unknown bridge 'exact'"),
+        ("none", 4, "palette 4 too small for width 2; need >= 5"),
+    ],
+)
+def test_bad_bridge_or_palette_is_refused_before_any_merge(monkeypatch, bridge, t, message):
+    g, td = gen_partial_ktree(30, 2, 3)
+    _, o = degeneracy(g)
+    alpha = gen_random_coloring(g, o, 4, 4)
+    beta = gen_random_coloring(g, o, 4, 5)
+    merged = _count_calls(monkeypatch, recolor.treewidth.merge_by_coloring)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_pipeline(g, td, alpha, beta, t, bridge=bridge)
+    assert merged == []
+
+
+def test_composed_walk_off_beta_raises_improper_endpoint(monkeypatch):
+    # a replay that ends anywhere but beta trips the postcondition
+    monkeypatch.setattr(recolor.treewidth, "apply_sequence", lambda g, s: s.start)
+    with pytest.raises(ImproperEndpoint, match="^composed sequence does not end at beta$"):
+        run_pipeline(c4(), c4_td(), Coloring((1, 2, 1, 2), 5), Coloring((2, 1, 2, 1), 5), 5)

@@ -54,7 +54,10 @@ def outcome(validate, g, td):
 @settings(max_examples=200, deadline=None)
 def test_merge_matches_reference(case):
     g, td, alpha = case
-    assert merged(merge_by_coloring(g, td, alpha)) == merged(ref.merge_by_coloring(g, td, alpha))
+    res = merge_by_coloring(g, td, alpha)
+    expected, fibers = ref.merge_by_coloring(g, td, alpha)
+    assert merged(res) == merged(expected)
+    assert res.merge_map.fibers == fibers
 
 
 @given(merge_cases(), st.data())

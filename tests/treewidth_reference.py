@@ -4,9 +4,9 @@ library's linear ones are differential-tested against.
 
 The merge repeats a fixpoint loop: scan bags in index order, merge the
 lowest-id same-color pair of classes in the first bag that has one, and
-start over, until no bag holds two classes of one color.  Validation
-scans every bag for each edge and runs a BFS over the bag tree for each
-vertex.
+start over, until no bag holds two classes of one color; it returns the
+fibers it finds next to the result.  Validation scans every bag for each
+edge and runs a BFS over the bag tree for each vertex.
 """
 
 from __future__ import annotations
@@ -63,7 +63,10 @@ def validate_decomposition(g: Graph, td: TreeDecomposition) -> int:
     return td.width
 
 
-def merge_by_coloring(g: Graph, td: TreeDecomposition, alpha: Coloring) -> MergeResult:
+def merge_by_coloring(
+    g: Graph, td: TreeDecomposition, alpha: Coloring
+) -> tuple[MergeResult, tuple[tuple[int, ...], ...]]:
+    """The merge, plus each quotient vertex's members in ascending order."""
     validate_decomposition(g, td)
     if not is_proper(g, alpha):
         raise ImproperInput("alpha is not proper")
@@ -102,10 +105,8 @@ def merge_by_coloring(g: Graph, td: TreeDecomposition, alpha: Coloring) -> Merge
     reps = sorted({find(v) for v in range(n)})
     index = {rep: i for i, rep in enumerate(reps)}
     pi = tuple(index[find(v)] for v in range(n))
-    fibers = [set() for _ in reps]
-    for v in range(n):
-        fibers[pi[v]].add(v)
-    mm = MergeMap(pi, tuple(frozenset(f) for f in fibers))
+    # each class's members, read off the union-find rather than off pi
+    fibers = tuple(tuple(v for v in range(n) if find(v) == rep) for rep in reps)
 
     edges = set()
     for u, v in g.edges():
@@ -124,4 +125,4 @@ def merge_by_coloring(g: Graph, td: TreeDecomposition, alpha: Coloring) -> Merge
     td2 = TreeDecomposition(tuple(new_bags), td.tree_edges)
     if not is_proper(g2, alpha2):
         raise RecolorError("projected coloring became improper; input was inconsistent")
-    return MergeResult(g2, mm, alpha2, td2)
+    return MergeResult(g2, MergeMap(pi), alpha2, td2), fibers
