@@ -318,17 +318,13 @@ def analyze_sequence(
     back-degree d, so reported violations are genuine at any palette.
     The palette-coverage check runs on the max-back-degree vertices when
     the palette is exactly 2d+1 for them.  An ordering that does not fit
-    g (`graphs._check_fits`) or whose back-neighborhood of some v repeats
-    a vertex raises ValueError naming v.
+    g (`graphs._check_fits`: a back-neighborhood of some v that leaves
+    v's neighborhood or repeats a vertex) raises ValueError naming v.
     """
     _check_fits(g, ordering)
     if len(s.start) != g.n:
         raise ValueError(f"walk covers {len(s.start)} vertices, graph has {g.n}")
     backs = ordering.back_nbrs
-    # a set is never longer than its tuple, so equal totals mean no repeat
-    if sum(map(len, map(frozenset, backs))) != sum(map(len, backs)):
-        v = next(v for v, back in enumerate(backs) if len(set(back)) < len(back))
-        raise ValueError(f"back-neighborhood of {v} repeats a vertex")
     counts = per_vertex_counts(s)
     dmax = ordering.max_back_degree
     t = s.palette_size

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field, replace
+from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from .errors import NotChordal, PaletteExhausted, PaletteViolation, RecolorError
@@ -35,7 +36,7 @@ class Graph:
             adj[u].add(v)
             adj[v].add(u)
         self.n = n
-        self.adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adj)
+        self.adj: tuple[frozenset[int], ...] = tuple(map(frozenset, adj))
 
     @property
     def m(self) -> int:
@@ -74,10 +75,10 @@ class Coloring:
     def __init__(self, colors: Sequence[int], palette_size: int):
         if palette_size < 1:
             raise ValueError("palette size must be at least 1")
-        cols = tuple(int(c) for c in colors)
-        for v, c in enumerate(cols):
-            if c < 1:
-                raise ValueError(f"vertex {v} has non-positive color {c}")
+        cols = tuple(map(int, colors))
+        if cols and min(cols) < 1:
+            v = next(v for v, c in enumerate(cols) if c < 1)
+            raise ValueError(f"vertex {v} has non-positive color {cols[v]}")
         self.colors = cols
         self.palette_size = palette_size
 
@@ -119,13 +120,12 @@ def is_proper(g: Graph, coloring: Coloring) -> bool:
     cols = coloring.colors
     if len(cols) != g.n:
         raise ValueError(f"coloring covers {len(cols)} vertices, graph has {g.n}")
-    for v, c in enumerate(cols):
-        if c > t:
-            raise PaletteViolation(v, c, t)
-    for u in range(g.n):
-        cu = cols[u]
-        for v in g.adj[u]:
-            if v > u and cols[v] == cu:
+    if cols and max(cols) > t:
+        v = next(v for v, c in enumerate(cols) if c > t)
+        raise PaletteViolation(v, cols[v], t)
+    for nbrs, c in zip(g.adj, cols):  # each edge is seen from both ends
+        for v in nbrs:
+            if cols[v] == c:
                 return False
     return True
 
@@ -144,24 +144,27 @@ class EliminationOrdering:
     perfect: bool = field(default=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.back_nbrs) != len(self.order):
+        n = len(self.order)
+        if len(self.back_nbrs) != n:
             raise ValueError(
-                f"ordering fields differ in length: order {len(self.order)}, "
+                f"ordering fields differ in length: order {n}, "
                 f"back_nbrs {len(self.back_nbrs)}"
             )
+        # n entries whose set is {0..n-1} repeat nothing
+        if set(self.order) != set(range(n)):
+            raise ValueError("order must be a permutation of 0..n-1")
 
     @classmethod
     def from_order(cls, g: Graph, order: Sequence[int]) -> "EliminationOrdering":
         order = tuple(order)
-        if sorted(order) != list(range(g.n)):
+        # indexing needs n ids in 0..n-1; the constructor refuses a repeat
+        if len(order) != g.n or (order and not 0 <= min(order) <= max(order) < g.n):
             raise ValueError("order must be a permutation of 0..n-1")
-        rank = [0] * g.n
-        for i, v in enumerate(order):
-            rank[v] = i
-        back = [
-            tuple(sorted([u for u in nbrs if rank[u] < rv]))
-            for nbrs, rv in zip(g.adj, rank)
-        ]
+        back: list[tuple[int, ...]] = [()] * g.n
+        earlier: set[int] = set()
+        for v in order:
+            back[v] = tuple(sorted(g.adj[v].intersection(earlier)))
+            earlier.add(v)
         return cls(order, tuple(back))
 
     @property
@@ -171,14 +174,20 @@ class EliminationOrdering:
 
 def _check_fits(g: Graph, ordering: EliminationOrdering) -> None:
     """Raise ValueError unless the ordering has g.n entries and each
-    back-neighborhood lies inside its vertex's neighborhood in g."""
+    back-neighborhood lies inside its vertex's neighborhood in g and
+    repeats no vertex."""
     if len(ordering.order) != g.n:
         raise ValueError(f"ordering covers {len(ordering.order)} vertices, graph has {g.n}")
-    if not all(map(frozenset.issuperset, g.adj, ordering.back_nbrs)):
-        for v, back in enumerate(ordering.back_nbrs):
+    backs = ordering.back_nbrs
+    if not all(map(frozenset.issuperset, g.adj, backs)):
+        for v, back in enumerate(backs):
             for u in back:
                 if u not in g.adj[v]:
                     raise ValueError(f"back-neighborhood of {v} names {u}, not a neighbor of {v}")
+    # a set is never longer than its tuple, so equal totals mean no repeat
+    if sum(map(len, map(frozenset, backs))) != sum(map(len, backs)):
+        v = next(v for v, back in enumerate(backs) if len(set(back)) < len(back))
+        raise ValueError(f"back-neighborhood of {v} repeats a vertex")
 
 
 def certify_perfect(g: Graph, ordering: EliminationOrdering) -> EliminationOrdering:
@@ -189,12 +198,11 @@ def certify_perfect(g: Graph, ordering: EliminationOrdering) -> EliminationOrder
     fit g (see `_check_fits`) raises ValueError.
     """
     _check_fits(g, ordering)
-    for v in range(g.n):
-        b = ordering.back_nbrs[v]
-        for i in range(len(b)):
-            for j in range(i + 1, len(b)):
-                if b[j] not in g.adj[b[i]]:
-                    raise NotChordal(v, (b[i], b[j]))
+    adj = g.adj
+    for v, back in enumerate(ordering.back_nbrs):
+        for a, b in combinations(back, 2):
+            if b not in adj[a]:
+                raise NotChordal(v, (a, b))
     return replace(ordering, perfect=True)
 
 
@@ -266,9 +274,12 @@ def _color_along(ordering: EliminationOrdering, palette: int, pick) -> Coloring:
     PaletteExhausted when `free` is empty.
     """
     colors = [0] * len(ordering.order)
+    color_of = colors.__getitem__
+    back = ordering.back_nbrs
+    palette_colors = range(1, palette + 1)
     for v in ordering.order:
-        used = {colors[u] for u in ordering.back_nbrs[v]}
-        free = [c for c in range(1, palette + 1) if c not in used]
+        used = set(map(color_of, back[v]))
+        free = [c for c in palette_colors if c not in used]
         if not free:
             raise PaletteExhausted(v, palette)
         colors[v] = pick(free)

@@ -9,6 +9,12 @@ the original vertices.  Because the preimage of every quotient vertex is an
 independent set, walks on the quotient expand step-for-fiber into walks
 on the original graph.
 
+`validate_decomposition` is one BFS over the bag tree plus O(Σ|B| + m)
+membership tests: each vertex's top bag is found in BFS order, and an edge
+is covered when the deeper of its ends' top bags holds both.  It lists the
+pairs of every bag only to name the first uncovered edge, so a valid input
+builds no pair set.
+
 `run_pipeline` strings two such quotients together: recolor alpha-merged
 and beta-merged instances toward small greedy colorings, expand both to
 the original graph, and (optionally) connect the two small colorings by
@@ -17,7 +23,6 @@ an exhaustive-search walk.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, NamedTuple
@@ -62,7 +67,9 @@ class TreeDecomposition:
         return max((len(b) for b in self.bags), default=0) - 1
 
 
-def _check_tree(td: TreeDecomposition) -> None:
+def _check_tree(td: TreeDecomposition) -> list[tuple[int, int]]:
+    """Raise ValueError unless the tree edges form a tree over the bags;
+    return its BFS from bag 0 as (bag, parent) pairs, the root's parent -1."""
     k = len(td.bags)
     if k == 0:
         raise ValueError("a decomposition needs at least one bag")
@@ -74,16 +81,17 @@ def _check_tree(td: TreeDecomposition) -> None:
             raise ValueError(f"bad tree edge ({i},{j})")
         nbr[i].append(j)
         nbr[j].append(i)
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
+    seen = [False] * k
+    seen[0] = True
+    walk = [(0, -1)]
+    for i, _ in walk:  # the loop also visits the pairs it appends
         for j in nbr[i]:
-            if j not in seen:
-                seen.add(j)
-                queue.append(j)
-    if len(seen) != k:
+            if not seen[j]:
+                seen[j] = True
+                walk.append((j, i))
+    if len(walk) != k:
         raise ValueError("tree_edges must form a tree over the bags")
+    return walk
 
 
 def validate_decomposition(g: Graph, td: TreeDecomposition) -> int:
@@ -93,30 +101,40 @@ def validate_decomposition(g: Graph, td: TreeDecomposition) -> int:
     witness; malformed bag trees and bag vertex ids outside 0..n-1 raise
     ValueError.
     """
-    _check_tree(td)
+    walk = _check_tree(td)
     n = g.n
-    holding = [0] * n  # number of bags holding each vertex
-    pairs: set[tuple[int, int]] = set()
-    for i, b in enumerate(td.bags):
-        for v in b:
-            if not 0 <= v < n:
-                raise ValueError(f"bag {i} holds vertex {v}, outside 0..{n - 1}")
-            holding[v] += 1
-        pairs.update(combinations(sorted(b), 2))
-    for v in range(n):
-        if not holding[v]:
-            raise UncoveredVertex(v)
-    for e in g.edges():
-        if e not in pairs:
-            raise UncoveredEdge(e)
-    # The bags form a tree, so the bags holding v are connected iff they
-    # span exactly one tree edge fewer than their number.
-    for i, j in td.tree_edges:
-        for v in td.bags[i] & td.bags[j]:
-            holding[v] -= 1
-    for v in range(n):
-        if holding[v] != 1:
-            raise DisconnectedTrace(v)
+    bags = td.bags
+    held = frozenset().union(*bags)
+    if held and (min(held) < 0 or max(held) >= n):
+        i, v = next((i, v) for i, b in enumerate(bags) for v in b if not 0 <= v < n)
+        raise ValueError(f"bag {i} holds vertex {v}, outside 0..{n - 1}")
+    # Each connected piece of the bags holding v has one top bag, whose
+    # parent lacks v; top[v] is the first one met, `again` gets the others.
+    top: list[frozenset[int] | None] = [None] * n
+    again = []
+    for i, p in walk:
+        b = bags[i]
+        for v in b - bags[p] if p >= 0 else b:
+            if top[v] is None:
+                top[v] = b
+            else:
+                again.append(v)
+    if None in top:
+        raise UncoveredVertex(top.index(None))
+    # When both traces are connected, the deeper of their top bags holds
+    # both ends of a covered edge; only if that test fails somewhere are
+    # the pairs of every bag listed, to name the first uncovered edge.
+    if not all(
+        u in top[v] for u, (nbrs, b) in enumerate(zip(g.adj, top)) for v in nbrs - b
+    ):
+        pairs: set[tuple[int, int]] = set()
+        for b in bags:
+            pairs.update(combinations(sorted(b), 2))
+        for e in g.edges():
+            if e not in pairs:
+                raise UncoveredEdge(e)
+    if again:
+        raise DisconnectedTrace(min(again))
     return td.width
 
 
@@ -168,6 +186,11 @@ def merge_by_coloring(g: Graph, td: TreeDecomposition, alpha: Coloring) -> Merge
     same-colored vertices ever merge.
     """
     validate_decomposition(g, td)
+    return _merge(g, td, alpha)
+
+
+def _merge(g: Graph, td: TreeDecomposition, alpha: Coloring) -> MergeResult:
+    """`merge_by_coloring` on a decomposition already validated for g."""
     if not is_proper(g, alpha):
         raise ImproperInput("coloring is not proper")
     n = g.n
@@ -179,28 +202,35 @@ def merge_by_coloring(g: Graph, td: TreeDecomposition, alpha: Coloring) -> Merge
             a = root[a]
         return a
 
+    cols = alpha.colors
     for b in td.bags:
         first: dict[int, int] = {}  # color -> a vertex of that color in b
         for v in b:
-            a, c = find(v), find(first.setdefault(alpha[v], v))
-            if a != c:
-                root[max(a, c)] = min(a, c)  # a class's root stays its smallest id
-    reps = sorted({find(v) for v in range(n)})
-    index = {rep: i for i, rep in enumerate(reps)}
-    pi = tuple(index[find(v)] for v in range(n))
+            w = first.setdefault(cols[v], v)
+            if w != v:
+                a, c = find(v), find(w)
+                if a != c:
+                    root[max(a, c)] = min(a, c)  # a class's root stays its smallest id
+    # A root is its class's smallest member, so an ascending scan numbers
+    # each root before any other member of its class asks for that number.
+    pi = [0] * n
+    reps = []
+    for v in range(n):
+        r = find(v)
+        if r == v:
+            pi[v] = len(reps)
+            reps.append(v)
+        else:
+            pi[v] = pi[r]
 
     # Validation put every edge of g in a bag, so the bag cliques below
-    # already hold the projection of every edge.
-    edges = set()
-    new_bags = []
-    for b in td.bags:
-        q = sorted({pi[v] for v in b})
-        new_bags.append(frozenset(q))
-        edges.update(combinations(q, 2))
-    g2 = Graph(len(reps), edges)
-    alpha2 = Coloring([alpha[rep] for rep in reps], alpha.palette_size)
-    td2 = TreeDecomposition(tuple(new_bags), td.tree_edges)
-    return MergeResult(g2, MergeMap(pi), alpha2, td2)
+    # already hold the projection of every edge; Graph drops repeats.
+    project = pi.__getitem__
+    new_bags = tuple([frozenset(map(project, b)) for b in td.bags])
+    g2 = Graph(len(reps), [e for q in new_bags for e in combinations(q, 2)])
+    alpha2 = Coloring([cols[rep] for rep in reps], alpha.palette_size)
+    td2 = TreeDecomposition(new_bags, td.tree_edges)
+    return MergeResult(g2, MergeMap(tuple(pi)), alpha2, td2)
 
 
 def project_coloring(mm: MergeMap, gamma2: Coloring) -> Coloring:
@@ -304,9 +334,9 @@ def run_pipeline(
         _oracle._check_cap(g, t, state_cap)
     alpha = alpha.with_palette(t)
     beta = beta.with_palette(t)
-    # each merge validates the decomposition and checks its coloring is proper
+    # each merge checks its coloring is proper; the first validates td
     alpha_merged = merge_by_coloring(g, td, alpha)
-    beta_merged = merge_by_coloring(g, td, beta)
+    beta_merged = _merge(g, td, beta)
     alpha_side, gamma1 = _half_sequence(alpha_merged, k, t)
     beta_side, gamma2 = _half_sequence(beta_merged, k, t)
 

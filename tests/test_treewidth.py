@@ -120,6 +120,17 @@ class TestMergeByColoring:
         with pytest.raises(ImproperInput):
             merge_by_coloring(c4(), c4_td(), Coloring((1, 1, 2, 2), 2))
 
+    def test_merge_alone_validates_its_decomposition(self):
+        uncovered = TreeDecomposition.make([{0, 1, 2}, {1, 2, 3}], [(0, 1)])
+        with pytest.raises(UncoveredEdge) as ei:
+            merge_by_coloring(c4(), uncovered, Coloring((1, 2, 1, 2), 2))
+        assert ei.value.edge == (0, 3)
+        # 0 sits in bags 0 and 2 but not in bag 1 between them
+        split = TreeDecomposition.make([{0, 1, 2}, {1, 2, 3}, {0, 2, 3}], [(0, 1), (1, 2)])
+        with pytest.raises(DisconnectedTrace) as ei:
+            merge_by_coloring(c4(), split, Coloring((1, 2, 1, 2), 2))
+        assert ei.value.vertex == 0
+
     @given(
         st.integers(min_value=1, max_value=3),
         st.integers(min_value=4, max_value=10),
@@ -322,12 +333,15 @@ def test_pipeline_checks_each_coloring_and_replays_each_walk_once(monkeypatch):
     beta = gen_random_coloring(g, o, 5, 5)
     proper = _count_calls(monkeypatch, recolor.graphs.is_proper)
     replays = _count_calls(monkeypatch, recolor.engine.apply_sequence)
+    validated = _count_calls(monkeypatch, recolor.treewidth.validate_decomposition)
     run_pipeline(g, td, alpha, beta, 5, bridge="none")
     # each merge checks its input coloring; each half's best_choice_sequence
     # checks both endpoints and replays its quotient walk, which checks the
     # start once more
     assert len(proper) == 2 + 2 * 3
     assert len(replays) == 2
+    # the alpha merge validates td; the beta merge reuses that
+    assert len(validated) == 1
 
 
 def test_over_cap_oracle_bridge_is_refused_before_the_halves(monkeypatch):

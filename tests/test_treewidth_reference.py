@@ -3,12 +3,16 @@ rescanning reference versions kept in `treewidth_reference`."""
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from recolor import (
+    DisconnectedTrace,
+    Graph,
     RecolorError,
     TreeDecomposition,
+    UncoveredEdge,
     degeneracy,
     gen_partial_ktree,
     gen_random_coloring,
@@ -60,16 +64,21 @@ def test_merge_matches_reference(case):
     assert res.merge_map.fibers == fibers
 
 
+def permuted(td, perm):
+    """td with bag perm[i] moved to index i and the tree edges re-indexed."""
+    new_index = {old: new for new, old in enumerate(perm)}
+    return TreeDecomposition(
+        tuple(td.bags[old] for old in perm),
+        tuple((new_index[i], new_index[j]) for i, j in td.tree_edges),
+    )
+
+
 @given(merge_cases(), st.data())
 @settings(max_examples=150, deadline=None)
 def test_merge_ignores_bag_order(case, data):
     g, td, alpha = case
     perm = data.draw(st.permutations(range(len(td.bags))))
-    new_index = {old: new for new, old in enumerate(perm)}
-    shuffled = TreeDecomposition(
-        tuple(td.bags[old] for old in perm),
-        tuple((new_index[i], new_index[j]) for i, j in td.tree_edges),
-    )
+    shuffled = permuted(td, perm)
     res = merge_by_coloring(g, td, alpha)
     res_p = merge_by_coloring(g, shuffled, alpha)
     assert res_p.merge_map == res.merge_map
@@ -104,3 +113,43 @@ def corrupted_decompositions(draw):
 def test_validation_matches_reference(case):
     g, td = case
     assert outcome(validate_decomposition, g, td) == outcome(ref.validate_decomposition, g, td)
+
+
+# On the path 0-1 with bags {0}, {1}, {0, 1} in a path, the BFS from bag 0
+# makes {0} and {1} the top bags of 0 and 1, neither of which holds the
+# edge, so the fast test fails: once on an edge that bag {0, 1} covers
+# (the trace of 0 is what is broken), once, without that bag's 1, on an
+# edge that no bag covers.
+EDGE_01 = Graph(2, [(0, 1)])
+COVERED_ELSEWHERE = TreeDecomposition.make([{0}, {1}, {0, 1}], [(0, 1), (1, 2)])
+UNCOVERED = TreeDecomposition.make([{0}, {1}, {0}], [(0, 1), (1, 2)])
+
+
+def test_fast_edge_test_falls_back_to_the_bag_pairs():
+    with pytest.raises(DisconnectedTrace) as ei:
+        validate_decomposition(EDGE_01, COVERED_ELSEWHERE)
+    assert ei.value.vertex == 0
+    with pytest.raises(UncoveredEdge) as ei:
+        validate_decomposition(EDGE_01, UNCOVERED)
+    assert ei.value.edge == (0, 1)
+
+
+@st.composite
+def permuted_corruptions(draw):
+    g, td = draw(corrupted_decompositions())
+    return g, td, draw(st.permutations(range(len(td.bags))))
+
+
+@given(permuted_corruptions())
+@example((EDGE_01, COVERED_ELSEWHERE, (0, 1, 2)))
+@example((EDGE_01, UNCOVERED, (0, 1, 2)))
+@example((EDGE_01, COVERED_ELSEWHERE, (2, 1, 0)))  # root {0, 1}: the fast test passes
+@settings(max_examples=300, deadline=None)
+def test_validation_matches_reference_on_permuted_bags(case):
+    """Permuting the bags moves the BFS root, and with it each vertex's top
+    bag, which the fast edge test reads; the witnesses must not move."""
+    g, td, perm = case
+    shuffled = permuted(td, perm)
+    assert outcome(validate_decomposition, g, shuffled) == outcome(
+        ref.validate_decomposition, g, shuffled
+    )

@@ -132,6 +132,18 @@ def test_ordering_fields_of_different_lengths_rejected(name, change):
             analyze_sequence(g, bad, RecoloringSequence((RecoloringStep(2, 3),), start))
 
 
+@pytest.mark.parametrize("order", [(0, 0, 1), (2, 2, 2), (0, 1, 3), (-1, 0, 1)])
+def test_order_that_is_not_a_permutation_rejected(order):
+    """A hand-built ordering of the path 0-1-2 whose order repeats a vertex
+    or leaves 0..2 used to reach the walk functions: best_choice_sequence
+    failed in its own replay (NullStep, ImproperIntermediate) and
+    analyze_sequence passed.  Both constructors now refuse it."""
+    with pytest.raises(ValueError, match=r"^order must be a permutation of 0\.\.n-1$"):
+        EliminationOrdering(order, ((), (0,), (1,)))
+    with pytest.raises(ValueError, match=r"^order must be a permutation of 0\.\.n-1$"):
+        EliminationOrdering.from_order(path(3), order)
+
+
 @pytest.mark.parametrize("name", ["build", "analyze"])
 @pytest.mark.parametrize("steps", [[(2, 3)], [(2, 3), (2, 1)]])
 @pytest.mark.parametrize("third", [(5,), (-1,), (0,), (1, 5)])
@@ -161,12 +173,14 @@ def test_back_neighborhood_outside_the_graph_rejected(name, steps, third):
         (((), (0,), (0, 1)), "back-neighborhood of 2 names 0, not a neighbor of 2"),
         (((), (0,), (-1, 1)), "back-neighborhood of 2 names -1, not a neighbor of 2"),
         (((), (0,)), "ordering covers 2 vertices, graph has 3"),
+        (((), (0,), (1, 1)), "back-neighborhood of 2 repeats a vertex"),
     ],
 )
 def test_certify_perfect_rejects_an_ordering_that_does_not_fit(back_nbrs, message):
     """On the path 0-1-2 a non-neighbor, a negative id (which indexing
     would wrap to vertex 2) and an ordering of another size used to be
-    certified perfect or raise IndexError."""
+    certified perfect or raise IndexError; a repeated back-neighbor was
+    reported as NotChordal with the self-loop witness 1-1."""
     bad = EliminationOrdering(tuple(range(len(back_nbrs))), back_nbrs)
     with pytest.raises(ValueError, match=f"^{message}$"):
         certify_perfect(path(3), bad)
