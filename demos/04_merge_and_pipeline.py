@@ -19,7 +19,7 @@ from recolor import (
 
 def main():
     g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    td = TreeDecomposition.make([{0, 1, 2}, {0, 2, 3}], [(0, 1)])
+    td = TreeDecomposition([{0, 1, 2}, {0, 2, 3}], [(0, 1)])
     alpha = Coloring((1, 2, 1, 2), 5)
     beta = Coloring((2, 1, 2, 1), 5)
     print("graph: 4-cycle; decomposition bags {0,1,2}, {0,2,3} (width 2)")

@@ -35,6 +35,7 @@ read each revisit's window, replaying R at most once for coverage.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Sequence
@@ -204,8 +205,9 @@ def _rotating(hist: Sequence[int]) -> list[int]:
 
 
 def _clique_ids(clique_x: Iterable[int], n: int) -> list[int]:
-    """X's distinct ids, ascending; ValueError names one outside 0..n-1."""
-    xs = sorted(set(clique_x))
+    """X's distinct ids, ascending; ValueError names one outside 0..n-1,
+    and a non-integer id is a TypeError."""
+    xs = sorted(set(map(operator.index, clique_x)))
     for x in xs:
         if not 0 <= x < n:
             raise ValueError(f"clique vertex {x} outside 0..{n - 1}")
@@ -266,7 +268,7 @@ def naughty_recolorings(
 # aggregate report
 
 
-@dataclass
+@dataclass(frozen=True)
 class AnalysisReport:
     n: int
     palette: int

@@ -43,7 +43,7 @@ from .errors import (
     NullStep,
     PaletteViolation,
 )
-from .graphs import Coloring, EliminationOrdering, Graph, is_proper
+from .graphs import Coloring, EliminationOrdering, Graph, _check_covers, is_proper
 
 
 class RecoloringStep(NamedTuple):
@@ -148,11 +148,8 @@ def select_best_choice(
     fresh = vset - fset
     if fresh:
         return min(fresh)
-    first_occ: dict[int, int] = {}
-    for i, c in enumerate(future):
-        if c not in first_occ:
-            first_occ[c] = i
-    return max(vset, key=lambda c: first_occ[c])
+    # every valid color occurs in `future`, and first occurrences are distinct
+    return max(vset, key=future.index)
 
 
 class _Node:
@@ -191,11 +188,13 @@ class _Walk:
     for maintaining order in a list"), which they show costs O(log L)
     amortized relabels per insertion.  `by_vertex[v]` lists v's own steps
     in walk order, as long as v's steps are inserted in walk order; a
-    vertex without steps has no entry.
+    vertex without steps has no entry.  `stats`, when given, is the dict
+    the color choices count into (see `select_best_choice`).
     """
 
-    def __init__(self, start: Coloring):
+    def __init__(self, start: Coloring, stats: dict | None = None):
         self.start = start
+        self.stats = stats
         self.head = _Node(-1, 0, -1)  # below every step's label (all >= 0)
         self.tail = _Node(-1, 0, -1)  # its label is never read
         self.head.next = self.tail
@@ -261,7 +260,6 @@ def local_best_choice(
     nbrs: Iterable[int],
     walk: _Walk,
     beta_u: int,
-    stats: dict | None = None,
 ) -> None:
     """Splice vertex u, in place, into a walk that never touches u.
 
@@ -288,15 +286,13 @@ def local_best_choice(
         if w in by_vertex:
             for node in by_vertex[w]:
                 if node.color == u_color:
-                    _splice(u, nbrs, walk, beta_u, stats)
+                    _splice(u, nbrs, walk, beta_u)
                     return
     if u_color != beta_u:
         walk.insert_before(walk.tail, u, beta_u)
 
 
-def _splice(
-    u: int, nbrs: tuple[int, ...], walk: _Walk, beta_u: int, stats: dict | None
-) -> None:
+def _splice(u: int, nbrs: tuple[int, ...], walk: _Walk, beta_u: int) -> None:
     """`local_best_choice` for a u that some neighbor step forces to move."""
     t = walk.start.palette_size
     nbr_set = frozenset(nbrs)
@@ -319,7 +315,7 @@ def _splice(
             valid = [x for x in palette if x not in taken]
             if not valid:
                 raise EmptyValidSet(u, walk.index(node) - inserted)
-            x = select_best_choice(beta_u, valid, nbr_colors[j:], stats)
+            x = select_best_choice(beta_u, valid, nbr_colors[j:], walk.stats)
             walk.insert_before(node, u, x)
             inserted += 1
             u_color = x
@@ -341,19 +337,20 @@ def best_choice_sequence(
     earlier neighbors.  With palette size at least (max back-degree + 2)
     the valid set can never empty out, so construction always succeeds;
     the result is validated before returning and ends exactly at beta.
+    `stats`, when given, counts the color choices' rule-1 blocks (see
+    `select_best_choice`).
     """
     if alpha.palette_size != beta.palette_size:
         raise ValueError("alpha and beta must share a palette")
-    if len(ordering.order) != g.n:
-        raise ValueError(f"ordering covers {len(ordering.order)} vertices, graph has {g.n}")
+    _check_covers(g, ordering)
     if not is_proper(g, alpha):
         raise ImproperInput("alpha is not proper")
     if not is_proper(g, beta):
         raise ImproperInput("beta is not proper")
-    walk = _Walk(alpha)
+    walk = _Walk(alpha, stats)
     back, final = ordering.back_nbrs, beta.colors
     for v in ordering.order:
-        local_best_choice(g, v, back[v], walk, final[v], stats)
+        local_best_choice(g, v, back[v], walk, final[v])
     s = walk.sequence()
     end = apply_sequence(g, s)
     if end.colors != beta.colors:

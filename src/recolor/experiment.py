@@ -56,7 +56,7 @@ def resolve_t_rule(rule: str | int, d: int) -> int:
     return a * d + b
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     family: str = "ktree"
     n_values: Sequence[int] = (20,)

@@ -106,8 +106,10 @@ def gen_partial_ktree(
 
     Each edge survives independently with probability keep_prob (drawn
     from [0.5, 0.9] when not given).  The k-tree's decomposition remains
-    valid for the subgraph.
+    valid for the subgraph.  A keep_prob outside [0, 1] raises InvalidParams.
     """
+    if keep_prob is not None and not 0 <= keep_prob <= 1:
+        raise InvalidParams(f"keep_prob must lie in [0, 1], got {keep_prob}")
     g, td, _ = gen_ktree(n, k, seed)
     rng = random.Random(seed ^ 0x5EED)
     p = keep_prob if keep_prob is not None else rng.uniform(0.5, 0.9)
@@ -144,4 +146,4 @@ def gen_random_coloring(
     """Uniformly random choice among free colors, vertex by vertex along
     the ordering.  Raises PaletteExhausted when some vertex has no free
     color left."""
-    return _color_along(ordering, t, random.Random(seed).choice)
+    return _color_along(g, ordering, t, random.Random(seed).choice)

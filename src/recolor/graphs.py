@@ -1,13 +1,14 @@
 """Core graph types: graphs, colorings, elimination orderings.
 
 Vertices are the integers 0..n-1.  Colors are 1-based, drawn from a palette
-{1..t}.  All three types are immutable once built; operations return new
-values instead of mutating.
+{1..t}.  All three types are frozen dataclasses, immutable once built;
+operations return new values instead of mutating.
 """
 
 from __future__ import annotations
 
 import heapq
+import operator
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
@@ -15,6 +16,7 @@ from typing import Iterable, Iterator, Sequence
 from .errors import NotChordal, PaletteExhausted, PaletteViolation, RecolorError
 
 
+@dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
@@ -22,7 +24,8 @@ class Graph:
     as a tuple of frozensets so instances can be shared freely.
     """
 
-    __slots__ = ("n", "adj")
+    n: int
+    adj: tuple[frozenset[int], ...]
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -35,8 +38,8 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u}")
             adj[u].add(v)
             adj[v].add(u)
-        self.n = n
-        self.adj: tuple[frozenset[int], ...] = tuple(map(frozenset, adj))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "adj", tuple(map(frozenset, adj)))
 
     @property
     def m(self) -> int:
@@ -52,35 +55,31 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.adj))
-
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+@dataclass(frozen=True)
 class Coloring:
     """Assignment of a 1-based color to every vertex, with a palette size t.
 
-    The constructor only checks shape (positive integers); whether every
-    color actually fits inside the palette is checked by `is_proper`, so a
-    palette violation can be reported separately from an improper edge.
+    The constructor only checks shape (integers, all positive; a float or
+    string color is a TypeError); whether every color actually fits inside
+    the palette is checked by `is_proper`, so a palette violation can be
+    reported separately from an improper edge.
     """
 
-    __slots__ = ("colors", "palette_size")
+    colors: tuple[int, ...]
+    palette_size: int
 
-    def __init__(self, colors: Sequence[int], palette_size: int):
-        if palette_size < 1:
+    def __post_init__(self) -> None:
+        if self.palette_size < 1:
             raise ValueError("palette size must be at least 1")
-        cols = tuple(map(int, colors))
+        cols = tuple(map(operator.index, self.colors))
         if cols and min(cols) < 1:
             v = next(v for v, c in enumerate(cols) if c < 1)
             raise ValueError(f"vertex {v} has non-positive color {cols[v]}")
-        self.colors = cols
-        self.palette_size = palette_size
+        object.__setattr__(self, "colors", cols)
 
     def __getitem__(self, v: int) -> int:
         return self.colors[v]
@@ -88,23 +87,8 @@ class Coloring:
     def __len__(self) -> int:
         return len(self.colors)
 
-    def with_color(self, v: int, c: int) -> "Coloring":
-        lst = list(self.colors)
-        lst[v] = c
-        return Coloring(lst, self.palette_size)
-
     def with_palette(self, t: int) -> "Coloring":
         return self if t == self.palette_size else Coloring(self.colors, t)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Coloring)
-            and self.colors == other.colors
-            and self.palette_size == other.palette_size
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.colors, self.palette_size))
 
     def __repr__(self) -> str:
         return f"Coloring({list(self.colors)}, t={self.palette_size})"
@@ -172,12 +156,17 @@ class EliminationOrdering:
         return max((len(b) for b in self.back_nbrs), default=0)
 
 
+def _check_covers(g: Graph, ordering: EliminationOrdering) -> None:
+    """Raise ValueError unless the ordering has g.n entries."""
+    if len(ordering.order) != g.n:
+        raise ValueError(f"ordering covers {len(ordering.order)} vertices, graph has {g.n}")
+
+
 def _check_fits(g: Graph, ordering: EliminationOrdering) -> None:
     """Raise ValueError unless the ordering has g.n entries and each
     back-neighborhood lies inside its vertex's neighborhood in g and
     repeats no vertex."""
-    if len(ordering.order) != g.n:
-        raise ValueError(f"ordering covers {len(ordering.order)} vertices, graph has {g.n}")
+    _check_covers(g, ordering)
     backs = ordering.back_nbrs
     if not all(map(frozenset.issuperset, g.adj, backs)):
         for v, back in enumerate(backs):
@@ -268,11 +257,13 @@ def degeneracy(g: Graph) -> tuple[int, EliminationOrdering]:
     return d, ordering
 
 
-def _color_along(ordering: EliminationOrdering, palette: int, pick) -> Coloring:
+def _color_along(g: Graph, ordering: EliminationOrdering, palette: int, pick) -> Coloring:
     """Color each vertex along the ordering with pick(free), `free` being the
     ascending colors of 1..palette unused by its earlier neighbors.  Raises
-    PaletteExhausted when `free` is empty.
+    PaletteExhausted when `free` is empty, and ValueError when the ordering
+    does not cover g's vertices.
     """
+    _check_covers(g, ordering)
     colors = [0] * len(ordering.order)
     color_of = colors.__getitem__
     back = ordering.back_nbrs
@@ -290,4 +281,4 @@ def greedy_color(g: Graph, ordering: EliminationOrdering, palette: int) -> Color
     """Color along the ordering, always the smallest color free of earlier
     neighbors.  Raises PaletteExhausted when no color in 1..palette is free.
     """
-    return _color_along(ordering, palette, min)
+    return _color_along(g, ordering, palette, min)

@@ -28,13 +28,14 @@ MAX_VERTICES = 10**6
 
 def _int(x) -> int:
     """int(x), as ids and colors are read; InvalidParams when x is of a
-    type int() does not take (an array, an object, null) or would silently
-    truncate (a float, a boolean)."""
+    type int() does not take (an array, an object, null), a string that is
+    not an integer, or a value int() would silently truncate (a float, a
+    boolean)."""
     if isinstance(x, (bool, float)):
         raise InvalidParams(f"expected an integer, got {x!r}")
     try:
         return int(x)
-    except (TypeError, OverflowError):
+    except (TypeError, ValueError, OverflowError):
         raise InvalidParams(f"expected an integer, got {x!r}") from None
 
 
@@ -87,11 +88,11 @@ def graph_from_text(text: str) -> Graph:
     tokens = text.split()
     if len(tokens) < 2:
         raise InvalidParams("graph text needs an 'n m' header")
-    n, m = _vertex_count(tokens[0]), int(tokens[1])
+    n, m = _vertex_count(tokens[0]), _int(tokens[1])
     nums = tokens[2:]
     if len(nums) != 2 * m:
         raise InvalidParams(f"expected {m} edges, found {len(nums) // 2}")
-    edges = [(int(nums[2 * i]), int(nums[2 * i + 1])) for i in range(m)]
+    edges = [(_int(nums[2 * i]), _int(nums[2 * i + 1])) for i in range(m)]
     return Graph(n, edges)
 
 
@@ -145,7 +146,7 @@ def decomposition_to_json(td: TreeDecomposition) -> dict:
 def decomposition_from_json(obj: dict) -> TreeDecomposition:
     obj = _object(obj, "decomposition JSON")
     bags = [_ints(b, "each of 'bags'") for b in _array(obj["bags"], "'bags'")]
-    return TreeDecomposition.make(bags, _pairs(obj["tree_edges"], "'tree_edges'"))
+    return TreeDecomposition(bags, _pairs(obj["tree_edges"], "'tree_edges'"))
 
 
 def read_decomposition(path: str | Path) -> TreeDecomposition:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .errors import (
     DisconnectedTrace,
@@ -48,19 +48,16 @@ from . import oracle as _oracle
 
 @dataclass(frozen=True)
 class TreeDecomposition:
-    """Bags of vertices arranged on a tree (edges over bag indices)."""
+    """Bags of vertices arranged on a tree (edges over bag indices).  Any
+    iterables are accepted and stored as a tuple of frozensets and a tuple
+    of tuples."""
 
     bags: tuple[frozenset[int], ...]
     tree_edges: tuple[tuple[int, int], ...]
 
-    @classmethod
-    def make(
-        cls, bags: Iterable[Iterable[int]], tree_edges: Iterable[tuple[int, int]]
-    ) -> "TreeDecomposition":
-        return cls(
-            tuple(frozenset(b) for b in bags),
-            tuple((int(i), int(j)) for i, j in tree_edges),
-        )
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "bags", tuple(map(frozenset, self.bags)))
+        object.__setattr__(self, "tree_edges", tuple(map(tuple, self.tree_edges)))
 
     @property
     def width(self) -> int:
@@ -250,7 +247,7 @@ def expand_sequence(mm: MergeMap, s2: RecoloringSequence) -> RecoloringSequence:
     return RecoloringSequence(steps, start)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineResult:
     """Everything produced by `run_pipeline`.
 

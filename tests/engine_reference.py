@@ -1,14 +1,16 @@
-"""Reference implementations of `local_best_choice` and
-`best_choice_sequence`, kept as the tuple-rescanning splice the library's
-order-maintained walk is differential-tested against.
+"""Reference implementations of `select_best_choice`, `local_best_choice`
+and `best_choice_sequence`, kept as the tuple-rescanning splice the
+library's order-maintained walk is differential-tested against.
 
 `local_best_choice` scans the whole sequence for u's neighbour steps and
 copies it into a new tuple, so folding a graph in costs O(n * L).
+`select_best_choice` finds rule 3's color through a dict of first
+occurrences, so the reference splice does not share the library's rules.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from recolor import (
     Coloring,
@@ -21,8 +23,36 @@ from recolor import (
     RecoloringStep,
     apply_sequence,
     is_proper,
-    select_best_choice,
 )
+
+
+def select_best_choice(
+    target: int,
+    valid: Iterable[int],
+    future: Sequence[int],
+    stats: dict | None = None,
+) -> int:
+    """Three rules, first match wins: the target, when valid and absent
+    from `future`; the smallest valid color absent from `future`; the valid
+    color whose first occurrence in `future` is latest.  `stats` counts
+    under "rule1_blocked" each target absent from `future` but not valid."""
+    vset = set(valid)
+    if not vset:
+        raise EmptyValidSet(-1)
+    fset = set(future)
+    if target not in fset:
+        if target in vset:
+            return target
+        if stats is not None:
+            stats["rule1_blocked"] = stats.get("rule1_blocked", 0) + 1
+    fresh = vset - fset
+    if fresh:
+        return min(fresh)
+    first_occ: dict[int, int] = {}
+    for i, c in enumerate(future):
+        if c not in first_occ:
+            first_occ[c] = i
+    return max(vset, key=lambda c: first_occ[c])
 
 
 def local_best_choice(
@@ -73,7 +103,9 @@ def local_best_choice(
     out.extend(steps[prev:])
     if u_color != beta_u:
         out.append(RecoloringStep(u, beta_u))
-    start = s.start if s.start[u] == alpha_u else s.start.with_color(u, alpha_u)
+    start = s.start
+    if start[u] != alpha_u:
+        start = Coloring(start.colors[:u] + (alpha_u,) + start.colors[u + 1 :], t)
     return RecoloringSequence(tuple(out), start)
 
 

@@ -95,6 +95,23 @@ def test_local_best_choice_on_sequences_matches_reference(case):
         assert walk.sequence() == r
 
 
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.sets(st.integers(min_value=1, max_value=6)),
+    st.lists(st.integers(min_value=1, max_value=6), max_size=10),
+)
+@settings(max_examples=400, deadline=None)
+def test_select_best_choice_matches_reference(target, valid, future):
+    def choose(select):
+        stats: dict = {}
+        try:
+            return select(target, valid, future, stats), stats
+        except EmptyValidSet as e:
+            return type(e), str(e)
+
+    assert choose(engine.select_best_choice) == choose(ref.select_best_choice)
+
+
 def star_walk(n):
     """The centre of K_{1,n-1} first, alpha = (1, 2, ..., 2) and
     beta = (2, 1, ..., 1) with t = 3: every leaf inserts its first step

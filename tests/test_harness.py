@@ -79,6 +79,17 @@ class TestGenerators:
         assert validate_decomposition(g, td) == 2
         assert degeneracy(g)[0] <= 2
 
+    @pytest.mark.parametrize("keep_prob", [-1.0, -0.01, 1.01, 2.0])
+    def test_partial_ktree_keep_prob_outside_unit_interval_rejected(self, keep_prob):
+        # 2.0 used to keep every edge and -1.0 none
+        with pytest.raises(InvalidParams, match="keep_prob"):
+            gen_partial_ktree(10, 2, 0, keep_prob=keep_prob)
+
+    def test_partial_ktree_keep_prob_bounds_accepted(self):
+        full = gen_ktree(10, 2, 0).graph
+        assert gen_partial_ktree(10, 2, 0, keep_prob=0.0).graph.m == 0
+        assert gen_partial_ktree(10, 2, 0, keep_prob=1.0).graph == full
+
     def test_gen_instance_rejects_unknown_family(self):
         with pytest.raises(InvalidParams):
             gen_instance("grid", 8, 2, 0)

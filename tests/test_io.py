@@ -88,7 +88,7 @@ class TestOtherFormats:
             rio.read_coloring(p, 3)
 
     def test_decomposition_round_trip(self):
-        td = TreeDecomposition.make([{0, 1, 2}, {0, 2, 3}], [(0, 1)])
+        td = TreeDecomposition([{0, 1, 2}, {0, 2, 3}], [(0, 1)])
         obj = rio.decomposition_to_json(td)
         assert rio.decomposition_from_json(obj) == td
 
@@ -142,8 +142,15 @@ class TestOtherFormats:
             (rio.graph_from_json, {"n": 3.0, "adj": [[1], [0], []]}),
             (rio.graph_from_json, {"n": 3, "adj": [[1], [0, False], []]}),
             (rio.graph_from_json, {"n": 5, "adj": [[1], [0]]}),
+            (rio.sequence_from_json, {"palette": 3, "start": ["one"], "steps": []}),
         ],
     )
     def test_wrongly_typed_json_rejected(self, reader, obj):
         with pytest.raises(InvalidParams):
             reader(obj)
+
+    @pytest.mark.parametrize("text", ["3 1\n0 1.5\n", "3 one\n", "3 1\nzero 1\n"])
+    def test_non_integer_text_graph_rejected(self, text):
+        # these raised a bare ValueError from int()
+        with pytest.raises(InvalidParams):
+            rio.graph_from_text(text)

@@ -1,4 +1,5 @@
-"""The package's public names, and no dead imports in its modules."""
+"""The package's public names, no dead imports in its modules, and no
+hand-written equality."""
 
 from __future__ import annotations
 
@@ -68,3 +69,16 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_hand_written_equality(path):
+    # value types declare equality and hashing through @dataclass
+    written = [
+        f"{node.name}.{item.name} (line {item.lineno})"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and item.name in ("__eq__", "__hash__")
+    ]
+    assert written == []

@@ -46,7 +46,7 @@ def c4():
 
 
 def c4_td():
-    return TreeDecomposition.make([{0, 1, 2}, {0, 2, 3}], [(0, 1)])
+    return TreeDecomposition([{0, 1, 2}, {0, 2, 3}], [(0, 1)])
 
 
 class TestValidateDecomposition:
@@ -55,33 +55,33 @@ class TestValidateDecomposition:
 
     def test_uncovered_vertex(self):
         g = Graph(2, [])
-        td = TreeDecomposition.make([{0}], [])
+        td = TreeDecomposition([{0}], [])
         with pytest.raises(UncoveredVertex) as ei:
             validate_decomposition(g, td)
         assert ei.value.vertex == 1
 
     def test_uncovered_edge(self):
-        td = TreeDecomposition.make([{0, 1}, {2, 3}], [(0, 1)])
+        td = TreeDecomposition([{0, 1}, {2, 3}], [(0, 1)])
         with pytest.raises(UncoveredEdge) as ei:
             validate_decomposition(c4(), td)
         assert ei.value.edge == (0, 3)
 
     def test_disconnected_trace(self):
         g = Graph(3, [(0, 1), (1, 2), (0, 2)])
-        td = TreeDecomposition.make([{0, 1}, {1, 2}, {0, 2}], [(0, 1), (1, 2)])
+        td = TreeDecomposition([{0, 1}, {1, 2}, {0, 2}], [(0, 1), (1, 2)])
         with pytest.raises(DisconnectedTrace) as ei:
             validate_decomposition(g, td)
         assert ei.value.vertex == 0
 
     @pytest.mark.parametrize("bad", [4, -1])
     def test_bag_vertex_out_of_range_rejected(self, bad):
-        td = TreeDecomposition.make([{0, 1, 2}, {0, 2, 3, bad}], [(0, 1)])
+        td = TreeDecomposition([{0, 1, 2}, {0, 2, 3, bad}], [(0, 1)])
         with pytest.raises(ValueError, match=f"vertex {bad}, outside 0..3"):
             validate_decomposition(c4(), td)
 
     def test_malformed_tree_rejected(self):
         g = Graph(2, [(0, 1)])
-        td = TreeDecomposition.make([{0, 1}, {1}], [])
+        td = TreeDecomposition([{0, 1}, {1}], [])
         with pytest.raises(ValueError):
             validate_decomposition(g, td)
 
@@ -121,12 +121,12 @@ class TestMergeByColoring:
             merge_by_coloring(c4(), c4_td(), Coloring((1, 1, 2, 2), 2))
 
     def test_merge_alone_validates_its_decomposition(self):
-        uncovered = TreeDecomposition.make([{0, 1, 2}, {1, 2, 3}], [(0, 1)])
+        uncovered = TreeDecomposition([{0, 1, 2}, {1, 2, 3}], [(0, 1)])
         with pytest.raises(UncoveredEdge) as ei:
             merge_by_coloring(c4(), uncovered, Coloring((1, 2, 1, 2), 2))
         assert ei.value.edge == (0, 3)
         # 0 sits in bags 0 and 2 but not in bag 1 between them
-        split = TreeDecomposition.make([{0, 1, 2}, {1, 2, 3}, {0, 2, 3}], [(0, 1), (1, 2)])
+        split = TreeDecomposition([{0, 1, 2}, {1, 2, 3}, {0, 2, 3}], [(0, 1), (1, 2)])
         with pytest.raises(DisconnectedTrace) as ei:
             merge_by_coloring(c4(), split, Coloring((1, 2, 1, 2), 2))
         assert ei.value.vertex == 0
@@ -248,7 +248,7 @@ class TestPipeline:
 
     def test_huge_state_space_surfaces_as_infeasible(self):
         n = 7000
-        td = TreeDecomposition.make([[v] for v in range(n)], [(v, v + 1) for v in range(n - 1)])
+        td = TreeDecomposition([[v] for v in range(n)], [(v, v + 1) for v in range(n - 1)])
         alpha = Coloring((1,) * n, 5)
         beta = Coloring((2,) * n, 5)
         with pytest.raises(OracleInfeasible, match=r"5\*\*7000"):
@@ -258,7 +258,7 @@ class TestPipeline:
     def test_empty_instance_has_empty_halves(self, bridge):
         # the decomposition [[]] has width -1; the pipeline treats it as 0
         empty = Coloring((), 5)
-        res = run_pipeline(Graph(0, []), TreeDecomposition.make([[]], []), empty, empty, 5, bridge)
+        res = run_pipeline(Graph(0, []), TreeDecomposition([[]], []), empty, empty, 5, bridge)
         assert res.per_vertex == {}
         assert res.gamma1 == res.gamma2 == empty
         assert res.alpha_side.steps == res.beta_side.steps == ()

@@ -105,7 +105,7 @@ def corrupted_decompositions(draw):
             e = draw(st.integers(min_value=0, max_value=len(tree_edges) - 1))
             a, _ = tree_edges[e]
             tree_edges[e] = (a, i)
-    return g, TreeDecomposition.make(bags, tree_edges)
+    return g, TreeDecomposition(bags, tree_edges)
 
 
 @given(corrupted_decompositions())
@@ -121,8 +121,8 @@ def test_validation_matches_reference(case):
 # (the trace of 0 is what is broken), once, without that bag's 1, on an
 # edge that no bag covers.
 EDGE_01 = Graph(2, [(0, 1)])
-COVERED_ELSEWHERE = TreeDecomposition.make([{0}, {1}, {0, 1}], [(0, 1), (1, 2)])
-UNCOVERED = TreeDecomposition.make([{0}, {1}, {0}], [(0, 1), (1, 2)])
+COVERED_ELSEWHERE = TreeDecomposition([{0}, {1}, {0, 1}], [(0, 1), (1, 2)])
+UNCOVERED = TreeDecomposition([{0}, {1}, {0}], [(0, 1), (1, 2)])
 
 
 def test_fast_edge_test_falls_back_to_the_bag_pairs():

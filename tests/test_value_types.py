@@ -1,0 +1,84 @@
+"""Value types are frozen dataclasses with one constructor each: assignment
+is refused, equality and hashing are the generated ones, and constructors
+normalize their inputs."""
+
+from __future__ import annotations
+
+import dataclasses
+
+import pytest
+
+from recolor import (
+    Coloring,
+    EliminationOrdering,
+    ExperimentConfig,
+    Graph,
+    MergeMap,
+    RecoloringSequence,
+    TreeDecomposition,
+    analyze_sequence,
+    run_pipeline,
+)
+
+
+def instances():
+    g = Graph(3, [(0, 1), (1, 2)])
+    ordering = EliminationOrdering.from_order(g, range(3))
+    alpha = Coloring([1, 2, 1], 3)
+    td = TreeDecomposition([{0, 1}, {1, 2}], [(0, 1)])
+    s = RecoloringSequence((), alpha)
+    return {
+        "Graph": g,
+        "Coloring": alpha,
+        "TreeDecomposition": td,
+        "EliminationOrdering": ordering,
+        "RecoloringSequence": s,
+        "MergeMap": MergeMap((0, 1, 0)),
+        "AnalysisReport": analyze_sequence(g, ordering, s),
+        "PipelineResult": run_pipeline(g, td, alpha, alpha, 5, bridge="none"),
+        "ExperimentConfig": ExperimentConfig(),
+    }
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "Graph", "Coloring", "TreeDecomposition",
+        "EliminationOrdering", "RecoloringSequence", "MergeMap",
+        "AnalysisReport", "PipelineResult", "ExperimentConfig",
+    ],
+)
+def test_assigning_an_attribute_is_refused(name):
+    value = instances()[name]
+    field = dataclasses.fields(value)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(value, field, getattr(value, field))
+
+
+@pytest.mark.parametrize("colors", [[1.7, 2], [1, 2.0], ["1", 2]])
+def test_a_non_integer_color_is_a_type_error(colors):
+    with pytest.raises(TypeError):
+        Coloring(colors, 3)
+
+
+def test_equality_and_hash_are_those_of_the_fields():
+    c = Coloring([1, 2], 3)
+    assert c == Coloring((1, 2), 3) and c != Coloring((1, 2), 4)
+    assert hash(Coloring((1, 2), 3)) == hash(((1, 2), 3))
+    g = Graph(3, [(0, 1), (1, 2), (1, 0)])
+    assert g == Graph(3, [(2, 1), (0, 1)]) and g != Graph(4, [(0, 1), (1, 2)])
+    assert hash(g) == hash((g.n, g.adj))
+    assert repr(g) == "Graph(n=3, m=2)" and repr(c) == "Coloring([1, 2], t=3)"
+
+
+def test_tree_decomposition_normalizes_any_iterables():
+    td = TreeDecomposition([[0, 1], {1, 2}], [[0, 1]])
+    assert td == TreeDecomposition((frozenset({0, 1}), frozenset({1, 2})), ((0, 1),))
+    assert td.bags == (frozenset({0, 1}), frozenset({1, 2}))
+    assert td.tree_edges == ((0, 1),)
+    assert hash(td) == hash(TreeDecomposition(iter([(1, 0), (2, 1)]), iter([(0, 1)])))
+
+
+def test_each_type_has_one_constructor():
+    assert not hasattr(TreeDecomposition, "make")
+    assert not hasattr(Coloring, "with_color")

@@ -22,6 +22,8 @@ from recolor import (
     best_choice_sequence,
     certify_perfect,
     expand_sequence,
+    gen_random_coloring,
+    greedy_color,
     naughty_recolorings,
     per_vertex_counts,
     project_coloring,
@@ -227,3 +229,32 @@ def test_analysis_rejects_exactly_the_bad_back_neighborhoods(backs, steps):
             analyze_sequence(g, ordering, s)
     else:
         analyze_sequence(g, ordering, s)
+
+
+@pytest.mark.parametrize("n_order", [2, 4])
+@pytest.mark.parametrize("color", ["greedy", "random"])
+def test_coloring_along_an_ordering_of_another_size_rejected(color, n_order):
+    """A 4-vertex ordering on a 3-vertex graph used to give a 4-vertex
+    coloring; now both colorings along an ordering check its size."""
+    g = path(3)
+    ordering = EliminationOrdering.from_order(path(n_order), range(n_order))
+    with pytest.raises(ValueError, match=f"^ordering covers {n_order} vertices, graph has 3$"):
+        if color == "greedy":
+            greedy_color(g, ordering, T)
+        else:
+            gen_random_coloring(g, ordering, T, 0)
+
+
+@pytest.mark.parametrize("clique", [[1, 1.5], [1.0, 2], [0, "1"]])
+@pytest.mark.parametrize("name", ["naughty", "analyze"])
+def test_a_non_integer_clique_id_is_a_type_error(name, clique):
+    """A clique id of 1.5 used to be reported as NotAClique and 1.0 raised
+    a TypeError from indexing; every non-integer id is now a TypeError."""
+    g = Graph(3, [(0, 1), (1, 2), (0, 2)])
+    s = RecoloringSequence((RecoloringStep(0, 4),), Coloring([1, 2, 3], 4))
+    with pytest.raises(TypeError):
+        if name == "naughty":
+            naughty_recolorings(s, g, clique)
+        else:
+            ordering = EliminationOrdering.from_order(g, range(3))
+            analyze_sequence(g, ordering, s, naughty_cliques=[clique])
