@@ -41,7 +41,7 @@ from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import NotAClique
-from .graphs import Coloring, EliminationOrdering, Graph, _check_fits
+from .graphs import Coloring, EliminationOrdering, Graph, _check_of
 from .engine import RecoloringSequence, RecoloringStep
 
 
@@ -319,11 +319,10 @@ def analyze_sequence(
     budget) are applied per vertex only when t >= 2d+1 for that vertex's
     back-degree d, so reported violations are genuine at any palette.
     The palette-coverage check runs on the max-back-degree vertices when
-    the palette is exactly 2d+1 for them.  An ordering that does not fit
-    g (`graphs._check_fits`: a back-neighborhood of some v that leaves
-    v's neighborhood or repeats a vertex) raises ValueError naming v.
+    the palette is exactly 2d+1 for them.  An ordering of another graph
+    (`graphs._check_of`) raises ValueError.
     """
-    _check_fits(g, ordering)
+    _check_of(g, ordering)
     if len(s.start) != g.n:
         raise ValueError(f"walk covers {len(s.start)} vertices, graph has {g.n}")
     backs = ordering.back_nbrs

@@ -43,7 +43,7 @@ from .errors import (
     NullStep,
     PaletteViolation,
 )
-from .graphs import Coloring, EliminationOrdering, Graph, _check_covers, is_proper
+from .graphs import Coloring, EliminationOrdering, Graph, _check_of, is_proper
 
 
 class RecoloringStep(NamedTuple):
@@ -342,7 +342,7 @@ def best_choice_sequence(
     """
     if alpha.palette_size != beta.palette_size:
         raise ValueError("alpha and beta must share a palette")
-    _check_covers(g, ordering)
+    _check_of(g, ordering)
     if not is_proper(g, alpha):
         raise ImproperInput("alpha is not proper")
     if not is_proper(g, beta):

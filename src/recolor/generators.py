@@ -7,7 +7,6 @@ All generators take an integer seed and are deterministic for a given
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from itertools import combinations
 from typing import NamedTuple
 
@@ -54,7 +53,7 @@ def gen_ktree(n: int, k: int, seed: int) -> KTreeInstance:
             for sub in combinations(clique, k - 1):
                 cliques.append((tuple(sorted((*sub, v))), bag_idx))
     g = Graph(n, edges)
-    ordering = replace(EliminationOrdering.from_order(g, range(n)), perfect=True)
+    ordering = EliminationOrdering(g, range(n), perfect=True)
     td = TreeDecomposition(tuple(bags), tuple(tree_edges))
     return KTreeInstance(g, td, ordering)
 
@@ -90,7 +89,7 @@ def gen_chordal(n: int, d: int, seed: int) -> ChordalInstance:
                 if v in c:
                     cliques.append(c)
     g = Graph(n, edges)
-    ordering = replace(EliminationOrdering.from_order(g, range(n)), perfect=True)
+    ordering = EliminationOrdering(g, range(n), perfect=True)
     return ChordalInstance(g, ordering)
 
 

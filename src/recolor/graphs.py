@@ -7,9 +7,10 @@ operations return new values instead of mutating.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -64,22 +65,24 @@ class Coloring:
     """Assignment of a 1-based color to every vertex, with a palette size t.
 
     The constructor only checks shape (integers, all positive; a float or
-    string color is a TypeError); whether every color actually fits inside
-    the palette is checked by `is_proper`, so a palette violation can be
-    reported separately from an improper edge.
+    string color or palette size is a TypeError); whether every color
+    actually fits inside the palette is checked by `is_proper`, so a
+    palette violation can be reported separately from an improper edge.
     """
 
     colors: tuple[int, ...]
     palette_size: int
 
     def __post_init__(self) -> None:
-        if self.palette_size < 1:
+        t = operator.index(self.palette_size)
+        if t < 1:
             raise ValueError("palette size must be at least 1")
         cols = tuple(map(operator.index, self.colors))
         if cols and min(cols) < 1:
             v = next(v for v, c in enumerate(cols) if c < 1)
             raise ValueError(f"vertex {v} has non-positive color {cols[v]}")
         object.__setattr__(self, "colors", cols)
+        object.__setattr__(self, "palette_size", t)
 
     def __getitem__(self, v: int) -> int:
         return self.colors[v]
@@ -116,83 +119,73 @@ def is_proper(g: Graph, coloring: Coloring) -> bool:
 
 @dataclass(frozen=True)
 class EliminationOrdering:
-    """A vertex ordering together with its back-neighborhoods.
+    """A vertex ordering of a graph, with its back-neighborhoods.
 
-    order[i] is the i-th vertex; back_nbrs[v] collects the neighbors of v
-    that appear earlier in the ordering.  `perfect` is True only when the
-    ordering was certified: every back-neighborhood is a clique.
+    Built as EliminationOrdering(graph, order): order[i] is the i-th
+    vertex, and back_nbrs[v], derived from the graph, is the ascending
+    tuple of v's neighbors that appear earlier.  `perfect` is True only
+    when the ordering was certified: every back-neighborhood is a clique.
+    Equality and hashing are those of (order, back_nbrs).
     """
 
+    graph: Graph = field(compare=False, repr=False)
     order: tuple[int, ...]
-    back_nbrs: tuple[tuple[int, ...], ...]
+    back_nbrs: tuple[tuple[int, ...], ...] = field(init=False)
     perfect: bool = field(default=False, compare=False)
 
     def __post_init__(self) -> None:
-        n = len(self.order)
-        if len(self.back_nbrs) != n:
-            raise ValueError(
-                f"ordering fields differ in length: order {n}, "
-                f"back_nbrs {len(self.back_nbrs)}"
-            )
-        # n entries whose set is {0..n-1} repeat nothing
-        if set(self.order) != set(range(n)):
+        adj = self.graph.adj
+        n = len(adj)
+        order = tuple(self.order)
+        # indexing needs n ids in 0..n-1; n distinct ones are all of them
+        if len(order) != n or (order and not 0 <= min(order) <= max(order) < n):
             raise ValueError("order must be a permutation of 0..n-1")
+        back: list[tuple[int, ...]] = [()] * n
+        earlier: set[int] = set()
+        for v in order:
+            back[v] = tuple(sorted(adj[v].intersection(earlier)))
+            earlier.add(v)
+        if len(earlier) != n:
+            raise ValueError("order must be a permutation of 0..n-1")
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "back_nbrs", tuple(back))
 
     @classmethod
     def from_order(cls, g: Graph, order: Sequence[int]) -> "EliminationOrdering":
-        order = tuple(order)
-        # indexing needs n ids in 0..n-1; the constructor refuses a repeat
-        if len(order) != g.n or (order and not 0 <= min(order) <= max(order) < g.n):
-            raise ValueError("order must be a permutation of 0..n-1")
-        back: list[tuple[int, ...]] = [()] * g.n
-        earlier: set[int] = set()
-        for v in order:
-            back[v] = tuple(sorted(g.adj[v].intersection(earlier)))
-            earlier.add(v)
-        return cls(order, tuple(back))
+        return cls(g, order)  # the constructor under its older name
 
     @property
     def max_back_degree(self) -> int:
         return max((len(b) for b in self.back_nbrs), default=0)
 
 
-def _check_covers(g: Graph, ordering: EliminationOrdering) -> None:
-    """Raise ValueError unless the ordering has g.n entries."""
-    if len(ordering.order) != g.n:
-        raise ValueError(f"ordering covers {len(ordering.order)} vertices, graph has {g.n}")
-
-
-def _check_fits(g: Graph, ordering: EliminationOrdering) -> None:
-    """Raise ValueError unless the ordering has g.n entries and each
-    back-neighborhood lies inside its vertex's neighborhood in g and
-    repeats no vertex."""
-    _check_covers(g, ordering)
-    backs = ordering.back_nbrs
-    if not all(map(frozenset.issuperset, g.adj, backs)):
-        for v, back in enumerate(backs):
-            for u in back:
-                if u not in g.adj[v]:
-                    raise ValueError(f"back-neighborhood of {v} names {u}, not a neighbor of {v}")
-    # a set is never longer than its tuple, so equal totals mean no repeat
-    if sum(map(len, map(frozenset, backs))) != sum(map(len, backs)):
-        v = next(v for v, back in enumerate(backs) if len(set(back)) < len(back))
-        raise ValueError(f"back-neighborhood of {v} repeats a vertex")
+def _check_of(g: Graph, ordering: EliminationOrdering) -> None:
+    """Raise ValueError unless the ordering was built from g or a graph
+    equal to it."""
+    h = ordering.graph
+    if h is g or h == g:
+        return
+    if h.n != g.n:
+        raise ValueError(f"ordering covers {h.n} vertices, graph has {g.n}")
+    raise ValueError("ordering was built for another graph")
 
 
 def certify_perfect(g: Graph, ordering: EliminationOrdering) -> EliminationOrdering:
     """Check that every back-neighborhood is a clique.
 
     Returns a copy with perfect=True on success; raises NotChordal with a
-    witness vertex and missing edge otherwise.  An ordering that does not
-    fit g (see `_check_fits`) raises ValueError.
+    witness vertex and missing edge otherwise.  An ordering of another
+    graph (see `_check_of`) raises ValueError.
     """
-    _check_fits(g, ordering)
+    _check_of(g, ordering)
     adj = g.adj
     for v, back in enumerate(ordering.back_nbrs):
         for a, b in combinations(back, 2):
             if b not in adj[a]:
                 raise NotChordal(v, (a, b))
-    return replace(ordering, perfect=True)
+    perfect = copy.copy(ordering)
+    object.__setattr__(perfect, "perfect", True)
+    return perfect
 
 
 def _peel(g: Graph, key: list[int]) -> tuple[list[int], int]:
@@ -238,7 +231,7 @@ def mcs_peo(g: Graph) -> EliminationOrdering:
     certification fails the graph is not chordal and NotChordal is raised.
     """
     order, _ = _peel(g, [0] * g.n)
-    return certify_perfect(g, EliminationOrdering.from_order(g, order))
+    return certify_perfect(g, EliminationOrdering(g, order))
 
 
 def degeneracy(g: Graph) -> tuple[int, EliminationOrdering]:
@@ -249,7 +242,7 @@ def degeneracy(g: Graph) -> tuple[int, EliminationOrdering]:
     has at most d earlier neighbors and some vertex has exactly d.
     """
     peel, d = _peel(g, [g.degree(v) for v in range(g.n)])
-    ordering = EliminationOrdering.from_order(g, peel[::-1])
+    ordering = EliminationOrdering(g, peel[::-1])
     if ordering.max_back_degree != d:
         raise RecolorError(
             f"peeling found degeneracy {d}, ordering has {ordering.max_back_degree}"
@@ -261,9 +254,9 @@ def _color_along(g: Graph, ordering: EliminationOrdering, palette: int, pick) ->
     """Color each vertex along the ordering with pick(free), `free` being the
     ascending colors of 1..palette unused by its earlier neighbors.  Raises
     PaletteExhausted when `free` is empty, and ValueError when the ordering
-    does not cover g's vertices.
+    is one of another graph.
     """
-    _check_covers(g, ordering)
+    _check_of(g, ordering)
     colors = [0] * len(ordering.order)
     color_of = colors.__getitem__
     back = ordering.back_nbrs

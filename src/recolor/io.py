@@ -27,20 +27,14 @@ MAX_VERTICES = 10**6
 
 
 def _int(x) -> int:
-    """int(x), as ids and colors are read; InvalidParams when x is of a
-    type int() does not take (an array, an object, null), a string that is
-    not an integer, or a value int() would silently truncate (a float, a
-    boolean)."""
-    if isinstance(x, (bool, float)):
+    """x, as JSON ids and colors are read: InvalidParams for anything but a
+    JSON integer, a string, a float or a boolean included."""
+    if type(x) is not int:
         raise InvalidParams(f"expected an integer, got {x!r}")
-    try:
-        return int(x)
-    except (TypeError, ValueError, OverflowError):
-        raise InvalidParams(f"expected an integer, got {x!r}") from None
+    return x
 
 
-def _vertex_count(x) -> int:
-    n = _int(x)
+def _vertex_count(n: int) -> int:
     if n > MAX_VERTICES:
         raise InvalidParams(f"n = {n} exceeds the limit of {MAX_VERTICES} vertices")
     return n
@@ -85,15 +79,17 @@ def graph_to_text(g: Graph) -> str:
 
 
 def graph_from_text(text: str) -> Graph:
-    tokens = text.split()
-    if len(tokens) < 2:
+    try:
+        nums = [int(token) for token in text.split()]
+    except ValueError as e:
+        raise InvalidParams(f"graph text: {e}") from None
+    if len(nums) < 2:
         raise InvalidParams("graph text needs an 'n m' header")
-    n, m = _vertex_count(tokens[0]), _int(tokens[1])
-    nums = tokens[2:]
-    if len(nums) != 2 * m:
-        raise InvalidParams(f"expected {m} edges, found {len(nums) // 2}")
-    edges = [(_int(nums[2 * i]), _int(nums[2 * i + 1])) for i in range(m)]
-    return Graph(n, edges)
+    n, m = _vertex_count(nums[0]), nums[1]
+    ends = nums[2:]
+    if len(ends) != 2 * m:
+        raise InvalidParams(f"expected {m} edges, found {len(ends) // 2}")
+    return Graph(n, zip(ends[::2], ends[1::2]))
 
 
 def graph_to_json(g: Graph) -> dict:
@@ -101,7 +97,7 @@ def graph_to_json(g: Graph) -> dict:
 
 
 def graph_from_json(obj: dict) -> Graph:
-    n = _vertex_count(_object(obj, "graph JSON")["n"])
+    n = _vertex_count(_int(_object(obj, "graph JSON")["n"]))
     if "adj" in obj:
         adj = [_ints(nbrs, "each of 'adj'") for nbrs in _array(obj["adj"], "'adj'")]
         if len(adj) != n:
@@ -160,7 +156,7 @@ def ordering_to_json(ordering: EliminationOrdering) -> dict:
 def read_ordering(path: str | Path, g: Graph) -> EliminationOrdering:
     obj = _load(Path(path).read_text(), "ordering")
     order = obj["order"] if isinstance(obj, dict) else obj
-    return EliminationOrdering.from_order(g, _ints(order, "an ordering"))
+    return EliminationOrdering(g, _ints(order, "an ordering"))
 
 
 def sequence_to_json(s: RecoloringSequence) -> dict:

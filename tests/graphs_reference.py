@@ -37,7 +37,7 @@ def mcs_peo(g: Graph) -> EliminationOrdering:
         for u in g.adj[best]:
             if not picked[u]:
                 weight[u] += 1
-    return certify_perfect(g, EliminationOrdering.from_order(g, order))
+    return certify_perfect(g, EliminationOrdering(g, order))
 
 
 def degeneracy(g: Graph) -> tuple[int, EliminationOrdering]:
@@ -60,7 +60,7 @@ def degeneracy(g: Graph) -> tuple[int, EliminationOrdering]:
                 deg[u] -= 1
                 heapq.heappush(heap, (deg[u], u))
     order = list(reversed(peel))
-    ordering = EliminationOrdering.from_order(g, order)
+    ordering = EliminationOrdering(g, order)
     if ordering.max_back_degree != d:
         raise RecolorError(
             f"peeling found degeneracy {d}, ordering has {ordering.max_back_degree}"

@@ -29,9 +29,9 @@ def seq(steps, start, t):
 
 
 P3 = Graph(3, [(0, 1), (1, 2)])
-O3 = EliminationOrdering.from_order(P3, (0, 1, 2))
+O3 = EliminationOrdering(P3, (0, 1, 2))
 K3 = Graph(3, [(0, 1), (1, 2), (0, 2)])
-OK3 = EliminationOrdering.from_order(K3, (0, 1, 2))
+OK3 = EliminationOrdering(K3, (0, 1, 2))
 
 
 def worked_trace():
@@ -68,7 +68,7 @@ class TestTightAndSaved:
         # vertices 0 (d = 0, r = 0) and 2 (r = kappa = 2) once, and vertex 1
         # twice with one tight gap that saves nothing
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-        o = EliminationOrdering.from_order(g, (0, 1, 2, 3))
+        o = EliminationOrdering(g, (0, 1, 2, 3))
         s = seq([(1, 3), (0, 2), (2, 2), (1, 1)], (1, 2, 1, 3), 3)
         apply_sequence(g, s)
         assert per_vertex_counts(s) == {0: 1, 1: 2, 2: 1, 3: 0}
@@ -87,7 +87,7 @@ class TestTightAndSaved:
         # with no earlier neighbor the bound is 1
         g = Graph(2, [])
         s = seq([(0, 2), (0, 3)], (1, 1), 3)
-        rep = analyze_sequence(g, EliminationOrdering.from_order(g, (0, 1)), s)
+        rep = analyze_sequence(g, EliminationOrdering(g, (0, 1)), s)
         over = [w for w in rep.violations if w.check == "save-inequality"]
         assert [(w.vertex, w.note) for w in over] == [
             (0, "2 recolorings exceed bound 1 (kappa=0, r=0, d=0)")
@@ -108,7 +108,7 @@ class TestSpacingAndCausation:
 
     def test_back_to_back_recoloring_flagged(self):
         g = Graph(2, [])
-        o = EliminationOrdering.from_order(g, (0, 1))
+        o = EliminationOrdering(g, (0, 1))
         s = seq([(0, 2), (0, 3)], (1, 1), 3)
         assert found(s, "revisit-spacing", g, o) == [("revisit-spacing", 0, (0, 1))]
 
@@ -119,7 +119,7 @@ class TestSpacingAndCausation:
 
     def test_uncaused_nonfinal_recoloring_flagged(self):
         g = Graph(2, [(0, 1)])
-        o = EliminationOrdering.from_order(g, (0, 1))
+        o = EliminationOrdering(g, (0, 1))
         s = seq([(1, 3), (0, 4), (1, 2)], (1, 2), 4)
         apply_sequence(g, s)
         assert found(s, "causation", g, o) == [("causation", 1, (0,))]
@@ -142,7 +142,7 @@ class TestSpacingAndCausation:
 class TestTightCoverage:
     # Structural checks only: the restrictions need not be replayable.
     G = Graph(3, [(0, 1)])
-    O = EliminationOrdering.from_order(G, (0, 1, 2))
+    O = EliminationOrdering(G, (0, 1, 2))
     STEPS = [(1, 3), (0, 2), (1, 1), (0, 1)]
 
     def test_worked_trace_exempt_final_follower(self):
@@ -165,7 +165,7 @@ class TestTightCoverage:
 class TestRotating:
     # rotating recolorings are counted in analyze_sequence's stats
     G = Graph(1, [])
-    O = EliminationOrdering.from_order(G, (0,))
+    O = EliminationOrdering(G, (0,))
 
     def rotating(self, s):
         return analyze_sequence(self.G, self.O, s).stats["rotating"]
@@ -212,7 +212,7 @@ class TestNaughty:
         match = rf"^clique vertex {v} outside 0\.\.2$"
         with pytest.raises(ValueError, match=match):
             naughty_recolorings(s, self.G, [v])
-        order = EliminationOrdering.from_order(self.G, (0, 1, 2))
+        order = EliminationOrdering(self.G, (0, 1, 2))
         with pytest.raises(ValueError, match=match):
             analyze_sequence(self.G, order, s, naughty_cliques=[(v,)])
 

@@ -38,7 +38,7 @@ def walks(draw, max_n=12, max_steps=40):
     if draw(st.booleans()):
         d, ordering = degeneracy(g)
     else:
-        ordering = EliminationOrdering.from_order(g, draw(st.permutations(range(n))))
+        ordering = EliminationOrdering(g, draw(st.permutations(range(n))))
         d = ordering.max_back_degree
     palettes = st.integers(min_value=max(d, 1), max_value=2 * d + 3)
     t = draw(st.one_of(st.just(2 * d + 1), palettes))

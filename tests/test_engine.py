@@ -183,7 +183,7 @@ class TestLocalBestChoice:
 class TestBestChoiceSequence:
     def test_worked_example(self):
         g = p3()
-        o = EliminationOrdering.from_order(g, (0, 1, 2))
+        o = EliminationOrdering(g, (0, 1, 2))
         s = best_choice_sequence(g, o, Coloring((1, 2, 1), 3), Coloring((2, 1, 2), 3))
         assert [(st.vertex, st.new_color) for st in s.steps] == [
             (1, 3),
@@ -194,26 +194,26 @@ class TestBestChoiceSequence:
 
     def test_identity_endpoints_give_empty_sequence(self):
         g = p3()
-        o = EliminationOrdering.from_order(g, (0, 1, 2))
+        o = EliminationOrdering(g, (0, 1, 2))
         a = Coloring((1, 2, 1), 3)
         assert best_choice_sequence(g, o, a, a).steps == ()
 
     def test_palette_mismatch_rejected(self):
         g = p3()
-        o = EliminationOrdering.from_order(g, (0, 1, 2))
+        o = EliminationOrdering(g, (0, 1, 2))
         with pytest.raises(ValueError):
             best_choice_sequence(g, o, Coloring((1, 2, 1), 3), Coloring((2, 1, 2), 4))
 
     def test_improper_endpoint_rejected(self):
         g = p3()
-        o = EliminationOrdering.from_order(g, (0, 1, 2))
+        o = EliminationOrdering(g, (0, 1, 2))
         with pytest.raises(ImproperInput):
             best_choice_sequence(g, o, Coloring((1, 1, 2), 3), Coloring((2, 1, 2), 3))
 
     def test_short_alpha_rejected_before_construction(self):
         # the entry check is the only length check before alpha[v] is read
         g = p3()
-        o = EliminationOrdering.from_order(g, (0, 1, 2))
+        o = EliminationOrdering(g, (0, 1, 2))
         with pytest.raises(ValueError, match="^coloring covers 2 vertices, graph has 3$"):
             best_choice_sequence(g, o, Coloring((1, 2), 3), Coloring((2, 1, 2), 3))
 

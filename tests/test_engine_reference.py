@@ -117,7 +117,7 @@ def star_walk(n):
     beta = (2, 1, ..., 1) with t = 3: every leaf inserts its first step
     into the same gap, just before the centre's step."""
     g = Graph(n, [(0, v) for v in range(1, n)])
-    ordering = EliminationOrdering.from_order(g, tuple(range(n)))
+    ordering = EliminationOrdering(g, tuple(range(n)))
     alpha = Coloring((1,) + (2,) * (n - 1), 3)
     beta = Coloring((2,) + (1,) * (n - 1), 3)
     walk = engine._Walk(alpha)

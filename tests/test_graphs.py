@@ -82,7 +82,7 @@ class TestProperColoring:
 
 class TestEliminationOrdering:
     def test_back_neighbourhoods_on_path(self):
-        o = EliminationOrdering.from_order(path(3), (0, 1, 2))
+        o = EliminationOrdering(path(3), (0, 1, 2))
         assert o.back_nbrs == ((), (0,), (1,))
         assert o.max_back_degree == 1
 
@@ -99,7 +99,7 @@ class TestEliminationOrdering:
         # On C4 every ordering has some vertex whose two earlier
         # neighbours are non-adjacent.
         g = cycle(4)
-        o = EliminationOrdering.from_order(g, (0, 1, 2, 3))
+        o = EliminationOrdering(g, (0, 1, 2, 3))
         with pytest.raises(NotChordal) as ei:
             certify_perfect(g, o)
         assert ei.value.missing_edge is not None
@@ -107,8 +107,25 @@ class TestEliminationOrdering:
     def test_certify_accepts_clique_any_order(self):
         g = complete(4)
         for perm in itertools.permutations(range(4)):
-            o = certify_perfect(g, EliminationOrdering.from_order(g, perm))
+            o = certify_perfect(g, EliminationOrdering(g, perm))
             assert o.perfect
+
+    @given(small_graphs(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_back_neighbourhoods_match_a_naive_reference(self, g, data):
+        order = data.draw(st.permutations(range(g.n)))
+        pos = {v: i for i, v in enumerate(order)}
+        expected = tuple(
+            tuple(sorted(u for u in g.adj[v] if pos[u] < pos[v])) for v in range(g.n)
+        )
+        assert EliminationOrdering(g, order).back_nbrs == expected
+
+    def test_certify_shares_the_back_neighbourhoods(self):
+        g = complete(3)
+        o = EliminationOrdering(g, (2, 0, 1))
+        certified = certify_perfect(g, o)
+        assert certified.perfect and not o.perfect
+        assert certified.back_nbrs is o.back_nbrs and certified.graph is g
 
     @given(ktree_instances())
     @settings(max_examples=40, deadline=None)
@@ -147,12 +164,12 @@ class TestDegeneracy:
 class TestGreedy:
     def test_path_with_two_colors(self):
         g = path(3)
-        o = EliminationOrdering.from_order(g, (0, 1, 2))
+        o = EliminationOrdering(g, (0, 1, 2))
         assert greedy_color(g, o, 2).colors == (1, 2, 1)
 
     def test_exhaustion_raises(self):
         g = complete(4)
-        o = EliminationOrdering.from_order(g, (0, 1, 2, 3))
+        o = EliminationOrdering(g, (0, 1, 2, 3))
         with pytest.raises(PaletteExhausted):
             greedy_color(g, o, 3)
 

@@ -69,7 +69,7 @@ def test_colorings_match_reference(g, by_degeneracy, data):
     if by_degeneracy:
         _, ordering = degeneracy(g)
     else:
-        ordering = EliminationOrdering.from_order(g, data.draw(st.permutations(range(g.n))))
+        ordering = EliminationOrdering(g, data.draw(st.permutations(range(g.n))))
     d = ordering.max_back_degree
     palette = data.draw(st.integers(min_value=1, max_value=d + 2))
     seed = data.draw(st.integers(min_value=0, max_value=10_000))

@@ -102,7 +102,7 @@ class TestOtherFormats:
 
     def test_constructed_sequence_round_trip(self, tmp_path):
         g = sample_graph()
-        ordering = EliminationOrdering.from_order(g, (0, 1, 2, 3))
+        ordering = EliminationOrdering(g, (0, 1, 2, 3))
         s = best_choice_sequence(
             g, ordering, Coloring((1, 2, 1, 2), 3), Coloring((2, 1, 2, 1), 3)
         )
@@ -122,6 +122,10 @@ class TestOtherFormats:
         p.write_text("[2, 1, 0]")
         o = rio.read_ordering(p, g)
         assert o.order == (2, 1, 0)
+        assert o.graph is g and o.back_nbrs == ((1,), (2,), ())
+        p.write_text('["2", 1, 0]')
+        with pytest.raises(InvalidParams):
+            rio.read_ordering(p, g)
 
     @pytest.mark.parametrize(
         "reader, obj",
@@ -143,6 +147,13 @@ class TestOtherFormats:
             (rio.graph_from_json, {"n": 3, "adj": [[1], [0, False], []]}),
             (rio.graph_from_json, {"n": 5, "adj": [[1], [0]]}),
             (rio.sequence_from_json, {"palette": 3, "start": ["one"], "steps": []}),
+            (rio.graph_from_json, {"n": 3, "edges": [["0", " 1"], [1, 2]]}),
+            (rio.graph_from_json, {"n": "3", "edges": []}),
+            (rio.graph_from_json, {"n": 3, "adj": [["1"], [0], []]}),
+            (rio.decomposition_from_json, {"bags": [["0"]], "tree_edges": []}),
+            (rio.sequence_from_json, {"palette": "5", "start": [1], "steps": []}),
+            (rio.sequence_from_json, {"palette": 3, "start": ["1"], "steps": []}),
+            (rio.sequence_from_json, {"palette": 3, "start": [1], "steps": [["0", 2]]}),
         ],
     )
     def test_wrongly_typed_json_rejected(self, reader, obj):

@@ -23,7 +23,7 @@ from recolor import (
 
 def instances():
     g = Graph(3, [(0, 1), (1, 2)])
-    ordering = EliminationOrdering.from_order(g, range(3))
+    ordering = EliminationOrdering(g, range(3))
     alpha = Coloring([1, 2, 1], 3)
     td = TreeDecomposition([{0, 1}, {1, 2}], [(0, 1)])
     s = RecoloringSequence((), alpha)
@@ -61,6 +61,12 @@ def test_a_non_integer_color_is_a_type_error(colors):
         Coloring(colors, 3)
 
 
+@pytest.mark.parametrize("palette", [2.5, 3.0, "3"])
+def test_a_non_integer_palette_size_is_a_type_error(palette):
+    with pytest.raises(TypeError):
+        Coloring([1, 2], palette)
+
+
 def test_equality_and_hash_are_those_of_the_fields():
     c = Coloring([1, 2], 3)
     assert c == Coloring((1, 2), 3) and c != Coloring((1, 2), 4)
@@ -69,6 +75,22 @@ def test_equality_and_hash_are_those_of_the_fields():
     assert g == Graph(3, [(2, 1), (0, 1)]) and g != Graph(4, [(0, 1), (1, 2)])
     assert hash(g) == hash((g.n, g.adj))
     assert repr(g) == "Graph(n=3, m=2)" and repr(c) == "Coloring([1, 2], t=3)"
+
+
+def test_ordering_equality_and_hash_ignore_its_graph():
+    edges = [(0, 1), (1, 2)]
+    g, same = Graph(3, edges), Graph(3, edges)
+    o = EliminationOrdering(g, (1, 0, 2))
+    other = EliminationOrdering(same, [1, 0, 2], perfect=True)
+    assert o == other and hash(o) == hash(other)
+    assert hash(o) == hash((o.order, o.back_nbrs)) == hash(((1, 0, 2), ((1,), (), (1,))))
+    assert "graph" not in repr(o) and o.graph is g
+
+
+def test_ordering_back_neighborhoods_are_derived_never_passed():
+    g = Graph(2, [(0, 1)])
+    with pytest.raises(TypeError):
+        EliminationOrdering(g, (0, 1), back_nbrs=((), (0,)))
 
 
 def test_tree_decomposition_normalizes_any_iterables():
