@@ -79,10 +79,12 @@ def graph_to_text(g: Graph) -> str:
 
 
 def graph_from_text(text: str) -> Graph:
-    try:
-        nums = [int(token) for token in text.split()]
-    except ValueError as e:
-        raise InvalidParams(f"graph text: {e}") from None
+    tokens = text.split()
+    for token in tokens:
+        # int() alone would also take "+2", "1_0" and non-ASCII digits
+        if not (token.isascii() and token.removeprefix("-").isdigit()):
+            raise InvalidParams(f"graph text: {token!r} is not a decimal integer")
+    nums = list(map(int, tokens))
     if len(nums) < 2:
         raise InvalidParams("graph text needs an 'n m' header")
     n, m = _vertex_count(nums[0]), nums[1]

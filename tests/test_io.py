@@ -160,8 +160,11 @@ class TestOtherFormats:
         with pytest.raises(InvalidParams):
             reader(obj)
 
-    @pytest.mark.parametrize("text", ["3 1\n0 1.5\n", "3 one\n", "3 1\nzero 1\n"])
+    @pytest.mark.parametrize(
+        "text",
+        ["3 1\n0 1.5\n", "3 one\n", "3 1\nzero 1\n", "1_0 1\n0 2\n", "3 1\n+2 1\n", "3 1\n0 ٢\n"],
+    )
     def test_non_integer_text_graph_rejected(self, text):
-        # these raised a bare ValueError from int()
+        # none is an ASCII decimal integer; int() takes the last three
         with pytest.raises(InvalidParams):
             rio.graph_from_text(text)

@@ -26,6 +26,7 @@ from recolor import (
     rt_distance,
     rt_path,
 )
+from recolor.oracle import _Space
 from strategies import small_graphs
 
 
@@ -117,6 +118,27 @@ class TestDistanceAndPath:
     def test_swap_on_edge_needs_three(self):
         g = Graph(2, [(0, 1)])
         assert rt_distance(g, 3, Coloring((1, 2), 3), Coloring((2, 1), 3)) == 3
+
+
+class TestSearchOrder:
+    # The CI instance: 14,580 colorings of a 2-tree at t=5, distance 8.
+    # Moves are tried state by state, vertex-ascending, color-ascending;
+    # a search in another order meets elsewhere, and one that finishes
+    # its layer before stopping enters more states.
+    g = gen_ktree(8, 2, 7).graph
+    a, b = (2, 1, 4, 1, 3, 4, 4, 5), (4, 3, 2, 1, 1, 5, 1, 3)
+
+    def test_distance_search_stops_at_the_first_meeting_state(self):
+        from_src, from_dst, meeting = _Space(self.g, 5).meet(self.a, self.b, whole_layer=False)
+        assert len(from_src) + len(from_dst) == 1270
+        assert meeting == [325086]
+        assert from_src[325086] + from_dst[325086] == 8
+
+    def test_whole_layer_search_finds_every_meeting_state(self):
+        from_src, from_dst, meeting = _Space(self.g, 5).meet(self.a, self.b, whole_layer=True)
+        assert len(from_src) + len(from_dst) == 1840
+        assert len(meeting) == 8
+        assert meeting[0] == 325086
 
 
 class TestConnectivityAndDiameter:

@@ -1,9 +1,11 @@
-"""Differential tests: the two-ended `rt_distance` and `rt_path`, and the
-whole-space `frozen_states`, `rt_connected` and `rt_diameter`, against the
-one-ended BFS and move scan kept in `oracle_reference`."""
+"""Differential tests: the two-ended `rt_distance` and `rt_path`, the
+whole-space `_Space.bfs`, `frozen_states`, `rt_connected` and
+`rt_diameter`, against the one-ended BFS and move scan kept in
+`oracle_reference`."""
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import assume, find, given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +21,7 @@ from recolor import (
     rt_distance,
     rt_path,
 )
+from recolor.oracle import _Space
 
 import oracle_reference as ref
 from strategies import small_graphs
@@ -80,3 +83,26 @@ def test_oracle_cases_draw_frozen_states():
     # (k+1)-clique that uses all k+1 colors
     g, t, _, _ = find(oracle_cases(), lambda case: frozen_states(case[0], case[1]))
     assert frozen_states(g, t) == ref.frozen_states(g, t)
+
+
+# The benchmark's regime: 9 vertices at t=5, where one reference BFS over
+# the 43,740 colorings of a 2-tree takes a few tenths of a second.  The target
+# is the last state the reference BFS discovers, so both searches cover
+# nearly the whole space.
+@pytest.mark.parametrize(
+    "graph",
+    [gen_ktree(9, 2, 3).graph, gen_partial_ktree(9, 2, 2, 0.7).graph],
+    ids=["2-tree", "partial-2-tree"],
+)
+def test_searches_match_reference_at_nine_vertices(graph):
+    t = 5
+    sp = _Space(graph, t)
+    alpha = next(iter_colorings(graph, t))
+    want = ref.bfs(sp, alpha)
+    got = sp.bfs(alpha)
+    assert list(got.items()) == list(want.items())
+    last = list(want)[-1]
+    beta = Coloring(tuple(last // p % t + 1 for p in sp.pw), t)
+    a = Coloring(alpha, t)
+    assert rt_distance(graph, t, a, beta) == ref.rt_distance(graph, t, a, beta) == want[last]
+    assert rt_path(graph, t, a, beta).steps == ref.rt_path(graph, t, a, beta).steps
