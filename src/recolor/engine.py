@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from operator import attrgetter
+from operator import attrgetter, index
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -54,17 +54,27 @@ class RecoloringStep(NamedTuple):
 @dataclass(frozen=True)
 class RecoloringSequence:
     """Steps plus the coloring they apply to; the walk's palette is the
-    start coloring's.  Every step's vertex lies in 0..len(start)-1
-    (ValueError otherwise)."""
+    start coloring's.  Each step is held as a RecoloringStep of two ints
+    (a plain pair is converted; a float or string is a TypeError), and
+    its vertex lies in 0..len(start)-1 (ValueError otherwise)."""
 
     steps: tuple[RecoloringStep, ...]
     start: Coloring
 
     def __post_init__(self):
         n = len(self.start)
-        for i, (v, _) in enumerate(self.steps):
+        steps = tuple(self.steps)
+        exact = True  # every step a RecoloringStep of two ints: keep the tuple
+        for i, step in enumerate(steps):
+            v, c = step
+            if type(step) is not RecoloringStep or type(v) is not int or type(c) is not int:
+                v, c = index(v), index(c)
+                exact = False
             if not 0 <= v < n:
                 raise ValueError(f"step {i} recolors vertex {v}, outside 0..{n - 1}")
+        if not exact:
+            steps = tuple([RecoloringStep(index(v), index(c)) for v, c in steps])
+        object.__setattr__(self, "steps", steps)
 
     @property
     def palette_size(self) -> int:

@@ -53,7 +53,7 @@ def gen_ktree(n: int, k: int, seed: int) -> KTreeInstance:
             for sub in combinations(clique, k - 1):
                 cliques.append((tuple(sorted((*sub, v))), bag_idx))
     g = Graph(n, edges)
-    ordering = EliminationOrdering(g, range(n), perfect=True)
+    ordering = EliminationOrdering(g, range(n))
     td = TreeDecomposition(tuple(bags), tuple(tree_edges))
     return KTreeInstance(g, td, ordering)
 
@@ -89,7 +89,7 @@ def gen_chordal(n: int, d: int, seed: int) -> ChordalInstance:
                 if v in c:
                     cliques.append(c)
     g = Graph(n, edges)
-    ordering = EliminationOrdering(g, range(n), perfect=True)
+    ordering = EliminationOrdering(g, range(n))
     return ChordalInstance(g, ordering)
 
 

@@ -7,7 +7,6 @@ operations return new values instead of mutating.
 
 from __future__ import annotations
 
-import copy
 import heapq
 import operator
 from dataclasses import dataclass, field
@@ -122,21 +121,21 @@ class EliminationOrdering:
     """A vertex ordering of a graph, with its back-neighborhoods.
 
     Built as EliminationOrdering(graph, order): order[i] is the i-th
-    vertex, and back_nbrs[v], derived from the graph, is the ascending
-    tuple of v's neighbors that appear earlier.  `perfect` is True only
-    when the ordering was certified: every back-neighborhood is a clique.
-    Equality and hashing are those of (order, back_nbrs).
+    vertex (an integer; a float or string id is a TypeError), and
+    back_nbrs[v], derived from the graph, is the ascending tuple of v's
+    neighbors that appear earlier.  `perfect`, also read off the graph,
+    says whether every back-neighborhood is a clique.  Equality and
+    hashing are those of (order, back_nbrs).
     """
 
     graph: Graph = field(compare=False, repr=False)
     order: tuple[int, ...]
     back_nbrs: tuple[tuple[int, ...], ...] = field(init=False)
-    perfect: bool = field(default=False, compare=False)
 
     def __post_init__(self) -> None:
         adj = self.graph.adj
         n = len(adj)
-        order = tuple(self.order)
+        order = tuple(map(operator.index, self.order))
         # indexing needs n ids in 0..n-1; n distinct ones are all of them
         if len(order) != n or (order and not 0 <= min(order) <= max(order) < n):
             raise ValueError("order must be a permutation of 0..n-1")
@@ -158,6 +157,19 @@ class EliminationOrdering:
     def max_back_degree(self) -> int:
         return max((len(b) for b in self.back_nbrs), default=0)
 
+    @property
+    def perfect(self) -> bool:
+        return next(self._gaps(), None) is None
+
+    def _gaps(self) -> Iterator[tuple[int, int, int]]:
+        """Yield (v, a, b) for each non-adjacent pair a < b in back_nbrs[v],
+        by vertex id, then in the order of combinations(back_nbrs[v], 2)."""
+        adj = self.graph.adj
+        for v, back in enumerate(self.back_nbrs):
+            for a, b in combinations(back, 2):
+                if b not in adj[a]:
+                    yield v, a, b
+
 
 def _check_of(g: Graph, ordering: EliminationOrdering) -> None:
     """Raise ValueError unless the ordering was built from g or a graph
@@ -173,19 +185,14 @@ def _check_of(g: Graph, ordering: EliminationOrdering) -> None:
 def certify_perfect(g: Graph, ordering: EliminationOrdering) -> EliminationOrdering:
     """Check that every back-neighborhood is a clique.
 
-    Returns a copy with perfect=True on success; raises NotChordal with a
-    witness vertex and missing edge otherwise.  An ordering of another
-    graph (see `_check_of`) raises ValueError.
+    Returns the ordering itself on success; raises NotChordal with the
+    first witness vertex and missing edge otherwise.  An ordering of
+    another graph (see `_check_of`) raises ValueError.
     """
     _check_of(g, ordering)
-    adj = g.adj
-    for v, back in enumerate(ordering.back_nbrs):
-        for a, b in combinations(back, 2):
-            if b not in adj[a]:
-                raise NotChordal(v, (a, b))
-    perfect = copy.copy(ordering)
-    object.__setattr__(perfect, "perfect", True)
-    return perfect
+    for v, a, b in ordering._gaps():
+        raise NotChordal(v, (a, b))
+    return ordering
 
 
 def _peel(g: Graph, key: list[int]) -> tuple[list[int], int]:

@@ -275,16 +275,10 @@ def rt_connected(g: Graph, t: int, state_cap: int = DEFAULT_STATE_CAP) -> bool:
     A graph with no proper t-coloring at all yields False as well; call
     `enumerate_colorings` to tell the two apart.
     """
-    total = 0
-    first = None
-    for state in iter_colorings(g, t, state_cap):
-        if first is None:
-            first = state
-        total += 1
+    first = next(iter_colorings(g, t, state_cap), None)
     if first is None:
         return False
-    dist = _Space(g, t).bfs(first)
-    return len(dist) == total
+    return len(_Space(g, t).bfs(first)) == enumerate_colorings(g, t, state_cap)
 
 
 def rt_diameter(g: Graph, t: int, state_cap: int = DEFAULT_STATE_CAP) -> int | float:

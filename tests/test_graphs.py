@@ -118,14 +118,29 @@ class TestEliminationOrdering:
         expected = tuple(
             tuple(sorted(u for u in g.adj[v] if pos[u] < pos[v])) for v in range(g.n)
         )
-        assert EliminationOrdering(g, order).back_nbrs == expected
+        o = EliminationOrdering(g, order)
+        assert o.back_nbrs == expected
+        # perfect iff no back-neighborhood misses an edge; certify names the first gap
+        gaps = [
+            (v, (a, b))
+            for v in range(g.n)
+            for a in expected[v]
+            for b in expected[v]
+            if a < b and b not in g.adj[a]
+        ]
+        assert o.perfect == (not gaps)
+        if gaps:
+            with pytest.raises(NotChordal) as ei:
+                certify_perfect(g, o)
+            assert (ei.value.vertex, ei.value.missing_edge) == gaps[0]
+        else:
+            assert certify_perfect(g, o) is o
 
     def test_certify_shares_the_back_neighbourhoods(self):
         g = complete(3)
         o = EliminationOrdering(g, (2, 0, 1))
-        certified = certify_perfect(g, o)
-        assert certified.perfect and not o.perfect
-        assert certified.back_nbrs is o.back_nbrs and certified.graph is g
+        assert certify_perfect(g, o) is o
+        assert o.perfect and o.graph is g
 
     @given(ktree_instances())
     @settings(max_examples=40, deadline=None)

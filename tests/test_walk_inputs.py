@@ -118,7 +118,7 @@ def test_bad_sizes_and_ids_raise_library_errors(name, n_graph, n_order, n_walk, 
         {"order": (0, 1)},
         {"back_nbrs": ((), (0,))},
         {"back_nbrs": ((), (0,), (1,), (2,))},
-        {"order": (0, 1, 2, 3), "perfect": True},
+        {"order": (0, 1, 2, 3)},
     ],
 )
 def test_ordering_fields_of_different_lengths_rejected(name, change):
