@@ -11,29 +11,30 @@ just before an earlier neighbor would take its color.  The replacement
 color is picked by a three-rule selection that prefers the vertex's final
 color and otherwise postpones the next forced move as long as possible.
 
-The walk under construction is a doubly linked list of step nodes with
-integer order labels (`_Walk`); each vertex keeps its own nodes in walk
-order, and `local_best_choice` splices one vertex into it in place.  A
-vertex's restriction R is the steps of its earlier neighbors.  When none
-of them takes the vertex's start color, the vertex never moves before its
-final step, and its splice costs O(d + |R|) with no sort.  Otherwise R is
-one sort of the neighbors' node lists by label, and each spliced step is
-linked in before its triggering node.  A closed label gap relabels the
+The walk under construction is a doubly linked list of steps with
+integer order labels, held as parallel int lists (`_Walk`); each vertex
+keeps its own node ids in walk order, and `local_best_choice` splices
+one vertex into it in place.  A vertex's restriction R is the steps of
+its earlier neighbors.  When none of them takes the vertex's start
+color, the vertex never moves before its final step, and its splice
+costs O(d + |R|) with no sort.  Otherwise R is one sort of the
+neighbors' node lists by label, and each spliced step is linked in
+before its triggering node.  A closed label gap relabels the
 smallest sparse enough window around it, not the whole list.  Folding in
 all vertices costs O((n + L) log L) for the list, where L is the walk's
 length, plus O(|R| log d) to sort the restriction R of each vertex that
 must move (the sort merges the d sorted node lists) and O(|R|) per color
 choice made against it: O((n + L) log L + sum of |R|) when back-degrees
 and choices per vertex are bounded.  The tuple of steps is built once,
-at the end.
+at the end, in one C-level pass (`_steps`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from operator import attrgetter, index
-from typing import Iterable, NamedTuple, Sequence
+from itertools import chain, repeat
+from operator import index
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     EmptyValidSet,
@@ -162,19 +163,7 @@ def select_best_choice(
     return max(vset, key=future.index)
 
 
-class _Node:
-    """One step of a `_Walk`: the recolored vertex, its new color, and the
-    integer label that orders it among the walk's steps."""
-
-    __slots__ = ("vertex", "color", "label", "prev", "next")
-
-    def __init__(self, vertex: int, color: int, label: int):
-        self.vertex = vertex
-        self.color = color
-        self.label = label
-
-
-_label = attrgetter("label")
+_HEAD, _TAIL = 0, 1  # the sentinel node ids of every `_Walk`
 
 # A window of 2**i labels may be relabelled only while it holds at most
 # (2 / _DENSITY) ** i steps; 1 < _DENSITY < 2 trades label bits against
@@ -185,83 +174,101 @@ _DENSITY = 1.5
 _SPACING = 1 << 24
 
 
-class _Walk:
-    """A recoloring sequence under construction: step nodes in a doubly
-    linked list whose integer labels increase along it, so a step can be
-    linked in anywhere and two steps compared in walk order by label alone.
+def _steps(pairs: Iterable[tuple[int, int]]) -> tuple[RecoloringStep, ...]:
+    """RecoloringSteps of trusted (vertex, color) int pairs, in one C-level pass."""
+    return tuple(map(tuple.__new__, repeat(RecoloringStep), pairs))
 
-    A step appended at the end gets its predecessor's label plus _SPACING,
-    and one inserted before a step the midpoint of the labels around it.
-    When no label is free there, the smallest aligned window of 2**i
-    labels around it holding at most (2 / _DENSITY) ** i steps is
-    relabelled evenly (Bender et al., ESA 2002, "Two simplified algorithms
+
+class _Walk:
+    """A recoloring sequence under construction: steps in a doubly linked
+    list whose integer labels increase along it, so a step can be linked
+    in anywhere and two steps compared in walk order by label alone.
+
+    A node is an index into the int lists `vertex`, `color`, `label`,
+    `prev` and `next`, so a step builds no object; nodes 0 and 1 are the
+    head and tail sentinels.  A step appended at the end gets its
+    predecessor's label plus _SPACING, and one inserted before a step the
+    midpoint of the labels around it.  When no label is free there, the
+    smallest aligned window of 2**i labels around it holding at most
+    (2 / _DENSITY) ** i steps is relabelled evenly (Bender et al., ESA 2002, "Two simplified algorithms
     for maintaining order in a list"), which they show costs O(log L)
-    amortized relabels per insertion.  `by_vertex[v]` lists v's own steps
+    amortized relabels per insertion.  `by_vertex[v]` lists v's own nodes
     in walk order, as long as v's steps are inserted in walk order; a
     vertex without steps has no entry.  `stats`, when given, is the dict
     the color choices count into (see `select_best_choice`).
     """
 
+    tail = _TAIL
+
     def __init__(self, start: Coloring, stats: dict | None = None):
         self.start = start
         self.stats = stats
-        self.head = _Node(-1, 0, -1)  # below every step's label (all >= 0)
-        self.tail = _Node(-1, 0, -1)  # its label is never read
-        self.head.next = self.tail
-        self.tail.prev = self.head
-        self.by_vertex: dict[int, list[_Node]] = {}
+        self.vertex = [-1, -1]
+        self.color = [0, 0]
+        self.label = [-1, -1]  # the head's is below every step's (all >= 0)
+        self.prev = [-1, _HEAD]
+        self.next = [_TAIL, -1]
+        self.by_vertex: dict[int, list[int]] = {}
         self.relabelled = 0  # nodes relabelled so far, for the cost bound
 
-    def __iter__(self):
-        node = self.head.next
-        while node is not self.tail:
-            yield node
-            node = node.next
+    def __iter__(self) -> Iterator[int]:
+        nxt = self.next
+        x = nxt[_HEAD]
+        while x != _TAIL:
+            yield x
+            x = nxt[x]
 
-    def index(self, node: _Node) -> int:
-        return next(i for i, x in enumerate(self) if x is node)
+    def index(self, node: int) -> int:
+        return next(i for i, x in enumerate(self) if x == node)
 
     def sequence(self) -> RecoloringSequence:
-        steps = tuple([RecoloringStep(x.vertex, x.color) for x in self])
-        return RecoloringSequence(steps, self.start)
+        nodes = list(self)
+        vertex, color = self.vertex.__getitem__, self.color.__getitem__
+        return RecoloringSequence(_steps(zip(map(vertex, nodes), map(color, nodes))), self.start)
 
-    def insert_before(self, y: _Node, vertex: int, color: int) -> None:
-        x = y.prev
-        z = _Node(vertex, color, x.label + _SPACING)
-        z.prev, z.next = x, y
-        x.next = y.prev = z
-        if y is not self.tail:
-            if y.label - x.label >= 2:
-                z.label = (x.label + y.label) // 2
-            else:
-                # anchor the window at a real neighbour's label
-                z.label = y.label if x is self.head else x.label
-                self._relabel(z)
+    def insert_before(self, y: int, vertex: int, color: int) -> None:
+        prev, nxt, label = self.prev, self.next, self.label
+        x = prev[y]
+        z = len(label)
+        self.vertex.append(vertex)
+        self.color.append(color)
+        prev.append(x)
+        nxt.append(y)
+        nxt[x] = prev[y] = z
+        if y == _TAIL:
+            label.append(label[x] + _SPACING)
+        elif label[y] - label[x] >= 2:
+            label.append((label[x] + label[y]) // 2)
+        else:
+            # anchor the window at a real neighbour's label
+            label.append(label[y] if x == _HEAD else label[x])
+            self._relabel(z)
         self.by_vertex.setdefault(vertex, []).append(z)
 
-    def _relabel(self, z: _Node) -> None:
+    def _relabel(self, z: int) -> None:
         """Spread labels evenly over the smallest window around z's label
         that is sparse enough; z shares its label with a neighbour."""
+        prev, nxt, label = self.prev, self.next, self.label
         first = last = z
         count = 1
         i = 0
         while True:
             i += 1
             size = 1 << i
-            base = z.label >> i << i
-            while first.prev is not self.head and first.prev.label >= base:
-                first = first.prev
+            base = label[z] >> i << i
+            while prev[first] != _HEAD and label[prev[first]] >= base:
+                first = prev[first]
                 count += 1
-            while last.next is not self.tail and last.next.label < base + size:
-                last = last.next
+            while nxt[last] != _TAIL and label[nxt[last]] < base + size:
+                last = nxt[last]
                 count += 1
             if count <= (2 / _DENSITY) ** i:
                 break
         self.relabelled += count
         node = first
         for j in range(count):
-            node.label = base + j * size // count
-            node = node.next
+            label[node] = base + j * size // count
+            node = nxt[node]
 
 
 def local_best_choice(
@@ -291,15 +298,16 @@ def local_best_choice(
     if not g.adj[u].issuperset(nbrs):
         raise ValueError(f"nbrs must be neighbors of {u}")
     by_vertex = walk.by_vertex
+    color = walk.color
     u_color = start[u]
     for w in nbrs:
         if w in by_vertex:
-            for node in by_vertex[w]:
-                if node.color == u_color:
+            for x in by_vertex[w]:
+                if color[x] == u_color:
                     _splice(u, nbrs, walk, beta_u)
                     return
     if u_color != beta_u:
-        walk.insert_before(walk.tail, u, beta_u)
+        walk.insert_before(_TAIL, u, beta_u)
 
 
 def _splice(u: int, nbrs: tuple[int, ...], walk: _Walk, beta_u: int) -> None:
@@ -309,16 +317,18 @@ def _splice(u: int, nbrs: tuple[int, ...], walk: _Walk, beta_u: int) -> None:
     by_vertex = walk.by_vertex
     restriction = sorted(
         chain.from_iterable(by_vertex[w] for w in nbr_set if w in by_vertex),
-        key=_label,
+        key=walk.label.__getitem__,
     )
-    nbr_colors = [node.color for node in restriction]
+    nbr_colors = list(map(walk.color.__getitem__, restriction))
 
-    cur = {w: walk.start[w] for w in nbr_set}
-    u_color = walk.start[u]
+    start = walk.start.colors
+    cur = {w: start[w] for w in nbr_set}
+    u_color = start[u]
     inserted = 0
     palette = range(1, t + 1)
+    vertex = walk.vertex
     for j, node in enumerate(restriction):
-        w, c = node.vertex, node.color
+        c = nbr_colors[j]
         if c == u_color:
             taken = set(cur.values())
             taken.add(u_color)
@@ -329,9 +339,9 @@ def _splice(u: int, nbrs: tuple[int, ...], walk: _Walk, beta_u: int) -> None:
             walk.insert_before(node, u, x)
             inserted += 1
             u_color = x
-        cur[w] = c
+        cur[vertex[node]] = c
     if u_color != beta_u:
-        walk.insert_before(walk.tail, u, beta_u)
+        walk.insert_before(_TAIL, u, beta_u)
 
 
 def best_choice_sequence(

@@ -7,7 +7,7 @@ All generators take an integer seed and are deterministic for a given
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import NamedTuple
 
 from .errors import InvalidParams
@@ -44,14 +44,14 @@ def gen_ktree(n: int, k: int, seed: int) -> KTreeInstance:
     ]
     for v in range(k + 1, n):
         clique, parent_bag = cliques[rng.randrange(len(cliques))]
-        edges.extend((u, v) for u in clique)
+        edges.extend(zip(clique, repeat(v)))
         new_bag = frozenset(clique) | {v}
         bags.append(new_bag)
         bag_idx = len(bags) - 1
         tree_edges.append((parent_bag, bag_idx))
         if k >= 1:
             for sub in combinations(clique, k - 1):
-                cliques.append((tuple(sorted((*sub, v))), bag_idx))
+                cliques.append(((*sub, v), bag_idx))  # v exceeds every earlier id
     g = Graph(n, edges)
     ordering = EliminationOrdering(g, range(n))
     td = TreeDecomposition(tuple(bags), tuple(tree_edges))
@@ -82,12 +82,9 @@ def gen_chordal(n: int, d: int, seed: int) -> ChordalInstance:
         cl = cliques[rng.randrange(len(cliques))]
         q = rng.randint(1, min(d, len(cl)))
         attach = tuple(sorted(rng.sample(cl, q)))
-        edges.extend((u, v) for u in attach)
-        new_clique = tuple(sorted((*attach, v)))
-        for r in range(1, len(new_clique) + 1):
-            for c in combinations(new_clique, r):
-                if v in c:
-                    cliques.append(c)
+        edges.extend(zip(attach, repeat(v)))
+        # the sub-cliques holding v, ascending as v exceeds every earlier id
+        cliques.extend((*c, v) for r in range(q + 1) for c in combinations(attach, r))
     g = Graph(n, edges)
     ordering = EliminationOrdering(g, range(n))
     return ChordalInstance(g, ordering)

@@ -28,16 +28,18 @@ class Graph:
     adj: tuple[frozenset[int], ...]
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
+        n = operator.index(n)
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         adj: list[set[int]] = [set() for _ in range(n)]
+        ids = list(range(n))  # ids[x] is x as an int: True reads as 1
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            adj[u].add(v)
-            adj[v].add(u)
+            adj[u].add(ids[v])
+            adj[v].add(ids[u])
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", tuple(map(frozenset, adj)))
 
@@ -199,32 +201,47 @@ def _peel(g: Graph, key: list[int]) -> tuple[list[int], int]:
     """Take every vertex once, always the least (key, id) among the untaken;
     each take lowers every untaken neighbor's key (updated in place) by one.
     Returns the order of takes and the largest key at a take, at least 0.
-    A lazy heap that skips stale entries makes it O((n + m) log n).
 
-    A heap entry is the one integer key * n + v: as 0 <= v < n, integers
-    order exactly as (key, v) pairs do, negative keys included, and
-    divmod by n gives both back, so the n + m pushes build no tuples.
+    A bucket queue: a min-heap of ids per key and `lo`, the lowest bucket
+    that may hold an untaken vertex.  A key drops at most deg(v) times, so
+    max(key) - min(key) + max degree + 1 buckets hold every key, whatever n.
+    A lowered key pushes its vertex again; the stale entry fails the key
+    test when popped.  O((n + m) log n) for keys starting at 0 or the degree.
     """
     n = g.n
+    if not n:
+        return [], 0
     adj = g.adj
-    heap = [k * n + v for v, k in enumerate(key)]
-    heapq.heapify(heap)
+    least = min(key)
+    low = least - max(map(len, adj))  # the lowest key a vertex can reach
+    buckets: list[list[int]] = [[] for _ in range(max(key) - low + 1)]
+    for v, k in enumerate(key):
+        buckets[k - low].append(v)  # ascending ids: each bucket is a heap
     pop, push = heapq.heappop, heapq.heappush
     taken = [False] * n
     order = []
     top = 0
-    while heap:
-        k, v = divmod(pop(heap), n)
-        if k != key[v]:
-            continue
+    lo = least - low
+    for _ in range(n):
+        while True:
+            bucket = buckets[lo]
+            if bucket:
+                v = pop(bucket)
+                if key[v] == lo + low:
+                    break
+            else:
+                lo += 1
         taken[v] = True
         order.append(v)
-        if k > top:
-            top = k
+        if key[v] > top:
+            top = key[v]
         for u in adj[v]:
             if not taken[u]:
                 key[u] -= 1
-                push(heap, key[u] * n + u)
+                b = key[u] - low
+                push(buckets[b], u)
+                if b < lo:
+                    lo = b
     return order, top
 
 
@@ -267,10 +284,9 @@ def _color_along(g: Graph, ordering: EliminationOrdering, palette: int, pick) ->
     colors = [0] * len(ordering.order)
     color_of = colors.__getitem__
     back = ordering.back_nbrs
-    palette_colors = range(1, palette + 1)
+    palette_colors = frozenset(range(1, palette + 1))
     for v in ordering.order:
-        used = set(map(color_of, back[v]))
-        free = [c for c in palette_colors if c not in used]
+        free = sorted(palette_colors.difference(map(color_of, back[v])))
         if not free:
             raise PaletteExhausted(v, palette)
         colors[v] = pick(free)

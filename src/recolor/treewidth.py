@@ -24,7 +24,8 @@ an exhaustive-search walk.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations, repeat
+from operator import index
 from typing import NamedTuple
 
 from .errors import (
@@ -38,7 +39,7 @@ from .errors import (
 from .graphs import Coloring, Graph, greedy_color, is_proper, mcs_peo
 from .engine import (
     RecoloringSequence,
-    RecoloringStep,
+    _steps,
     apply_sequence,
     best_choice_sequence,
     reverse_sequence,
@@ -50,14 +51,20 @@ from . import oracle as _oracle
 class TreeDecomposition:
     """Bags of vertices arranged on a tree (edges over bag indices).  Any
     iterables are accepted and stored as a tuple of frozensets and a tuple
-    of tuples."""
+    of pairs, all of ints (`True` reads as 1; a float is a TypeError)."""
 
     bags: tuple[frozenset[int], ...]
     tree_edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "bags", tuple(map(frozenset, self.bags)))
-        object.__setattr__(self, "tree_edges", tuple(map(tuple, self.tree_edges)))
+        bags = tuple(map(frozenset, self.bags))
+        if not {int}.issuperset(map(type, chain.from_iterable(bags))):
+            bags = tuple([frozenset(map(index, b)) for b in bags])
+        edges = tuple(map(tuple, self.tree_edges))
+        if not {int}.issuperset(map(type, chain.from_iterable(edges))):
+            edges = tuple([tuple(map(index, e)) for e in edges])
+        object.__setattr__(self, "bags", bags)
+        object.__setattr__(self, "tree_edges", edges)
 
     @property
     def width(self) -> int:
@@ -208,12 +215,11 @@ def _merge(g: Graph, td: TreeDecomposition, alpha: Coloring) -> MergeResult:
                 a, c = find(v), find(w)
                 if a != c:
                     root[max(a, c)] = min(a, c)  # a class's root stays its smallest id
-    # A root is its class's smallest member, so an ascending scan numbers
-    # each root before any other member of its class asks for that number.
+    # A link points to a smaller member of its class, so an ascending scan
+    # numbers a root (its class's least member) before any member after it.
     pi = [0] * n
     reps = []
-    for v in range(n):
-        r = find(v)
+    for v, r in enumerate(root):
         if r == v:
             pi[v] = len(reps)
             reps.append(v)
@@ -224,7 +230,7 @@ def _merge(g: Graph, td: TreeDecomposition, alpha: Coloring) -> MergeResult:
     # already hold the projection of every edge; Graph drops repeats.
     project = pi.__getitem__
     new_bags = tuple([frozenset(map(project, b)) for b in td.bags])
-    g2 = Graph(len(reps), [e for q in new_bags for e in combinations(q, 2)])
+    g2 = Graph(len(reps), chain.from_iterable(map(combinations, new_bags, repeat(2))))
     alpha2 = Coloring([cols[rep] for rep in reps], alpha.palette_size)
     td2 = TreeDecomposition(new_bags, td.tree_edges)
     return MergeResult(g2, MergeMap(tuple(pi)), alpha2, td2)
@@ -243,7 +249,7 @@ def expand_sequence(mm: MergeMap, s2: RecoloringSequence) -> RecoloringSequence:
     assumed valid; fibers are independent sets, so the expanded walk is
     then proper at every intermediate point."""
     start = project_coloring(mm, s2.start)  # checks the walk's size first
-    steps = tuple(RecoloringStep(u, c) for v, c in s2.steps for u in mm.fibers[v])
+    steps = _steps((u, c) for v, c in s2.steps for u in mm.fibers[v])
     return RecoloringSequence(steps, start)
 
 

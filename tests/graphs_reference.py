@@ -1,10 +1,12 @@
-"""Reference implementations of `mcs_peo`, `degeneracy`, `greedy_color`
-and `gen_random_coloring`, kept as the separate loops the library's shared
-ones are differential-tested against.
+"""Reference implementations of `mcs_peo`, `degeneracy`, `greedy_color`,
+`gen_random_coloring` and the shared peel `_peel`, kept as the separate
+loops the library's shared ones are differential-tested against.
 
 `mcs_peo` rescans every vertex for the one with the most picked
 neighbours (smallest id on ties), O(n^2); `degeneracy` peels with its own
-lazy heap; the two colorings each run their own loop along the ordering.
+lazy heap of (degree, id) tuples; `_peel` is one lazy heap of key * n + v
+integers, the reference for the library's bucket queue; the two colorings
+each run their own loop along the ordering.
 """
 
 from __future__ import annotations
@@ -93,3 +95,35 @@ def gen_random_coloring(
             raise PaletteExhausted(v, t)
         colors[v] = rng.choice(free)
     return Coloring(colors, t)
+
+
+def _peel(g: Graph, key: list[int]) -> tuple[list[int], int]:
+    """Take every vertex once, always the least (key, id) among the untaken;
+    each take lowers every untaken neighbor's key (updated in place) by one.
+    Returns the order of takes and the largest key at a take, at least 0.
+
+    A heap entry is the one integer key * n + v: as 0 <= v < n, integers
+    order exactly as (key, v) pairs do, negative keys included, and
+    divmod by n gives both back.
+    """
+    n = g.n
+    adj = g.adj
+    heap = [k * n + v for v, k in enumerate(key)]
+    heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
+    taken = [False] * n
+    order = []
+    top = 0
+    while heap:
+        k, v = divmod(pop(heap), n)
+        if k != key[v]:
+            continue
+        taken[v] = True
+        order.append(v)
+        if k > top:
+            top = k
+        for u in adj[v]:
+            if not taken[u]:
+                key[u] -= 1
+                push(heap, key[u] * n + u)
+    return order, top

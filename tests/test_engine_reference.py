@@ -131,7 +131,7 @@ def test_star_relabelling_is_near_linear():
     L = len(walk.sequence())
     assert L == 2 * 16000 - 1
     assert walk.relabelled <= L * math.ceil(math.log2(L))
-    labels = [node.label for node in walk]
+    labels = [walk.label[x] for x in walk]
     assert all(a < b for a, b in zip(labels, labels[1:]))
 
 

@@ -1,5 +1,6 @@
 """Differential tests: the shared peeling and coloring loops against the
-separate reference loops kept in `graphs_reference`."""
+separate reference loops kept in `graphs_reference`, and the bucket-queue
+peel against the lazy-heap one kept there."""
 
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ from recolor import (
     greedy_color,
     mcs_peo,
 )
+from recolor.graphs import _peel
 
 import graphs_reference as ref
 
@@ -61,6 +63,41 @@ def outcome(f, *args):
 def test_orderings_match_reference(g):
     assert outcome(mcs_peo, g) == outcome(ref.mcs_peo, g)
     assert outcome(degeneracy, g) == outcome(ref.degeneracy, g)
+
+
+@st.composite
+def peel_graphs(draw):
+    """`graphs()`, or one of the shapes that size the bucket array: no
+    vertex, one vertex, no edge, a star (max degree n - 1), and chordal
+    and partial k-tree graphs of benchmark shape (d and k of 2 or 3)."""
+    kind = draw(st.sampled_from(
+        ["drawn", "empty", "single", "edgeless", "star", "chordal", "partial-ktree"]
+    ))
+    n = draw(st.integers(min_value=2, max_value=400))
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    k = draw(st.integers(min_value=2, max_value=3))
+    if kind == "drawn":
+        return draw(graphs())
+    if kind in ("empty", "single"):
+        return Graph(0 if kind == "empty" else 1)
+    if kind == "edgeless":
+        return Graph(n)
+    if kind == "star":
+        centre = draw(st.integers(min_value=0, max_value=n - 1))
+        return Graph(n, [(centre, v) for v in range(n) if v != centre])
+    if kind == "chordal":
+        return gen_chordal(n, k, seed).graph
+    return gen_partial_ktree(max(n, k + 1), k, seed, 0.7).graph
+
+
+@given(peel_graphs(), st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_peel_matches_reference(g, by_degree):
+    # maximum cardinality search starts every key at 0, degeneracy at the degree
+    key = [g.degree(v) for v in range(g.n)] if by_degree else [0] * g.n
+    ref_key = list(key)
+    assert _peel(g, key) == ref._peel(g, ref_key)
+    assert key == ref_key
 
 
 @given(graphs(), st.booleans(), st.data())

@@ -37,6 +37,16 @@ class TestGraphFormats:
         g = sample_graph()
         assert rio.graph_from_json(rio.graph_to_json(g)) == g
 
+    def test_bool_ids_read_as_ints(self):
+        # Graph holds True as 1, so its JSON reads back: no `true` in it
+        g = Graph(3, [(True, 0), (1, 2)])
+        obj = rio.graph_to_json(g)
+        assert obj == {"n": 3, "adj": [[1], [0, 2], [1]]}
+        assert all(type(v) is int for nbrs in g.adj for v in nbrs)
+        assert rio.graph_from_json(json.loads(json.dumps(obj))) == g
+        with pytest.raises(TypeError):
+            Graph(2, [(0.0, 1)])
+
     def test_json_accepts_edge_list(self):
         g = rio.graph_from_json({"n": 3, "edges": [[0, 1], [1, 2]]})
         assert sorted(g.edges()) == [(0, 1), (1, 2)]
@@ -91,6 +101,23 @@ class TestOtherFormats:
         td = TreeDecomposition([{0, 1, 2}, {0, 2, 3}], [(0, 1)])
         obj = rio.decomposition_to_json(td)
         assert rio.decomposition_from_json(obj) == td
+
+    def test_decomposition_bool_ids_read_as_ints(self):
+        td = TreeDecomposition([[True, 0], [1, 2]], [(False, True)])
+        obj = rio.decomposition_to_json(td)
+        assert obj == {"bags": [[0, 1], [1, 2]], "tree_edges": [[0, 1]]}
+        assert type(td.tree_edges[0][0]) is int
+        assert all(type(v) is int for b in td.bags for v in b)
+        assert rio.decomposition_from_json(json.loads(json.dumps(obj))) == td
+
+    @pytest.mark.parametrize("bags, tree_edges", [
+        ([[0.0, 1]], []),
+        ([[0, 1], [1, "2"]], [(0, 1)]),
+        ([[0, 1], [1, 2]], [(0, 1.0)]),
+    ])
+    def test_decomposition_non_integer_ids_rejected(self, bags, tree_edges):
+        with pytest.raises(TypeError):
+            TreeDecomposition(bags, tree_edges)
 
     def test_sequence_round_trip(self, tmp_path):
         s = RecoloringSequence(
