@@ -23,55 +23,40 @@ Conventions for a vertex v with earlier-neighbor set B, d = |B|:
     1 + ceil((kappa - r) / d), kappa counting the recolorings of B and r
     the saved ones among them (by 1 when B is empty).
 
-Cost.  One pass over the walk lists each vertex's step indices.  Every
-check but the budget is defined over pairs of v's recolorings, and a
-vertex recolored at most once has all of B's steps saved (r = kappa,
-so its bound is 1): such a vertex is never in violation and costs O(d),
-its r read off B's counts.  Only a vertex recolored twice or more gets
-its restriction R, by sorting the d+1 sorted index lists (O(|R| log d));
-its saved count is then O(own steps) in closed form, and the pair checks
-read each revisit's window, replaying R at most once for coverage.
+Cost.  One stable sort of the walk's positions by vertex gives each
+vertex's step positions as a slice.  Every check but the budget is over
+pairs of v's recolorings, and a vertex recolored at most once has all of
+B's steps saved (r = kappa, so its bound is 1): it is never in violation
+and is never visited: C-level sums over all vertices count its r.  Only
+a vertex recolored twice or more gets its restriction R, by sorting the
+d+1 sorted slices (O(|R| log d)); its saved count is then O(own steps)
+in closed form, and the pair checks read each revisit's window,
+replaying R at most once for coverage.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate, chain, combinations, compress
+from operator import itemgetter, mul, sub
 from typing import Iterable, Sequence
 
 from .errors import NotAClique
-from .graphs import Coloring, EliminationOrdering, Graph, _check_of
+from .graphs import Coloring, EliminationOrdering, Graph, _check_covers, _check_of
 from .engine import RecoloringSequence, RecoloringStep
 
 
 def per_vertex_counts(s: RecoloringSequence) -> dict[int, int]:
     """How many times each vertex (including untouched ones) is recolored."""
-    counts = {v: 0 for v in range(len(s.start))}
-    for st in s.steps:
-        counts[st.vertex] += 1
+    counts = dict.fromkeys(range(len(s.start)), 0)
+    for v, _ in s.steps:
+        counts[v] += 1
     return counts
 
 
 # ---------------------------------------------------------------------------
 # per-vertex checks over the restriction to B ∪ {v}
-
-
-def _step_indices(s: RecoloringSequence) -> list[list[int]]:
-    """Entry v: the indices in s of v's own steps, ascending."""
-    out: list[list[int]] = [[] for _ in s.start]
-    for i, (v, _) in enumerate(s.steps):
-        out[v].append(i)
-    return out
-
-
-def _restriction(
-    s: RecoloringSequence, by_vertex: Sequence[Sequence[int]], members: Iterable[int]
-) -> list[RecoloringStep]:
-    """The steps of s recoloring one of `members`, in walk order (the step
-    objects of s themselves); the sort merges the members' sorted runs."""
-    steps = s.steps
-    return [steps[i] for i in sorted(chain.from_iterable(by_vertex[w] for w in members))]
 
 
 def _tight(pos: Sequence[int], d: int) -> list[int]:
@@ -227,13 +212,11 @@ def naughty_recolorings(
 
     Windows are clamped at the tail.  X's colors are replayed from s.start.
     """
-    if len(s.start) != g.n:
-        raise ValueError(f"walk covers {len(s.start)} vertices, graph has {g.n}")
+    _check_covers(g, "walk", len(s.start))
     xs = _clique_ids(clique_x, g.n)
-    for i in range(len(xs)):
-        for j in range(i + 1, len(xs)):
-            if xs[j] not in g.adj[xs[i]]:
-                raise NotAClique(xs, (xs[i], xs[j]))
+    for x, y in combinations(xs, 2):
+        if y not in g.adj[x]:
+            raise NotAClique(xs, (x, y))
     d = len(xs) + 1
     w1 = 3 * d + 4
     w2 = 3 * d - 4
@@ -254,12 +237,10 @@ def naughty_recolorings(
         window_new = {rsteps[k].new_color for k in range(i + 1, min(m, i + w1 + 1))}
         if len(palette - pre_colors[i] - window_new) < 3:
             continue
-        caused = False
         for j in range(i + 1, min(m - 2, i + w2) + 1):
             if rsteps[j + 1].new_color == pre_own[j]:
-                caused = True
                 break
-        if not caused:
+        else:
             out.append(i)
     return out
 
@@ -294,13 +275,7 @@ class AnalysisReport:
             "per_vertex": {str(v): c for v, c in sorted(self.per_vertex.items())},
             "passed": self.passed,
             "violations": [
-                {
-                    "check": w.check,
-                    "vertex": w.vertex,
-                    "indices": list(w.indices),
-                    "note": w.note,
-                }
-                for w in self.violations
+                {**vars(w), "indices": list(w.indices)} for w in self.violations
             ],
             "stats": self.stats,
         }
@@ -323,37 +298,44 @@ def analyze_sequence(
     (`graphs._check_of`) raises ValueError.
     """
     _check_of(g, ordering)
-    if len(s.start) != g.n:
-        raise ValueError(f"walk covers {len(s.start)} vertices, graph has {g.n}")
+    _check_covers(g, "walk", len(s.start))
     backs = ordering.back_nbrs
     counts = per_vertex_counts(s)
     dmax = ordering.max_back_degree
     t = s.palette_size
+    steps = s.steps
     violations: list[Violation] = []
     tight_total = 0
-    saved_total = 0
     rotating_total = 0
-    by_vertex = _step_indices(s)
-    for v, back in enumerate(backs):
+    cl = list(counts.values())  # by vertex id
+    # v's step positions are by_vertex[offsets[v]:offsets[v + 1]]
+    by_vertex = sorted(range(len(steps)), key=list(map(itemgetter(0), steps)).__getitem__)
+    offsets = list(accumulate(cl, initial=0))
+
+    def restriction(members: Iterable[int]) -> list[RecoloringStep]:
+        """The members' steps in walk order: one sort merges their slices."""
+        runs = (by_vertex[offsets[w] : offsets[w + 1]] for w in members)
+        return list(map(steps.__getitem__, sorted(chain.from_iterable(runs))))
+
+    # The spacing and budget guarantees need t >= 2d+1 for v's d.  Count
+    # r = kappa, all of B's steps, for each such v: w's steps are in the B
+    # of each later neighbour of w, less the B's with t <= 2d.  The loop
+    # corrects r for the vertices recolored twice.
+    later = map(sub, map(len, g.adj), map(len, backs))
+    cramped = compress(backs, map(((t + 1) // 2).__le__, map(len, backs)))
+    saved_total = sum(map(mul, cl, later)) - sum(sum(map(cl.__getitem__, b)) for b in cramped)
+    for v in compress(range(g.n), map((1).__lt__, cl)):
+        back = backs[v]
         d = len(back)
-        # The spacing and budget guarantees hold once the palette leaves
-        # room beside the back-clique: t >= 2d+1 for this vertex's d.
-        roomy = t >= 2 * d + 1
-        if counts[v] < 2:
-            # Every check is over pairs of v's recolorings, so none fires,
-            # and every step of B is saved: r = kappa.
-            if roomy:
-                saved_total += sum(map(counts.__getitem__, back))
-            continue
-        rsteps = _restriction(s, by_vertex, (*back, v))
+        rsteps = restriction((*back, v))
         pos = [i for i, st in enumerate(rsteps) if st.vertex == v]
         tight_total += len(_tight(pos, d))
         if causation:
             violations.extend(_causation(rsteps, pos, s.start, v))
-        if roomy:
+        if t > 2 * d:
             violations.extend(_revisit_spacing(pos, v, d))
             r, over = _save_inequality(len(rsteps), pos, v, d)
-            saved_total += r
+            saved_total += r - (len(rsteps) - len(pos))
             violations.extend(over)
         if d == dmax and t == 2 * d + 1:
             violations.extend(_tight_palette_coverage(rsteps, pos, s.start, v, back, t))
@@ -368,7 +350,7 @@ def analyze_sequence(
         naughty_counts = []
         for x in naughty_cliques:
             xs = _clique_ids(x, g.n)
-            rx = RecoloringSequence(tuple(_restriction(s, by_vertex, xs)), s.start)
+            rx = RecoloringSequence(tuple(restriction(xs)), s.start)
             naughty_counts.append(len(naughty_recolorings(rx, g, xs)))
         stats["naughty_max"] = max(naughty_counts, default=0)
         stats["naughty_cliques"] = len(naughty_counts)
@@ -376,7 +358,7 @@ def analyze_sequence(
         n=g.n,
         palette=t,
         max_back_degree=dmax,
-        length=len(s.steps),
+        length=len(steps),
         per_vertex=counts,
         max_count=max(counts.values(), default=0),
         violations=violations,

@@ -257,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-list", default="20", help="comma-separated n grid")
     sp.add_argument("--k", type=int, default=2)
     sp.add_argument("--t-rule", default="2d+1")
-    sp.add_argument("--trials", type=int, default=10)
+    sp.add_argument("--trials", type=int, default=10, help="total, round-robin over --n-list")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--naughty", action="store_true")
     sp.add_argument("--oracle-cross-check", action="store_true")

@@ -12,18 +12,18 @@ color is picked by a three-rule selection that prefers the vertex's final
 color and otherwise postpones the next forced move as long as possible.
 
 The walk under construction is a doubly linked list of steps with
-integer order labels, held as parallel int lists (`_Walk`); each vertex
-keeps its own node ids in walk order, and `local_best_choice` splices
-one vertex into it in place.  A vertex's restriction R is the steps of
-its earlier neighbors.  When none of them takes the vertex's start
-color, the vertex never moves before its final step, and its splice
-costs O(d + |R|) with no sort.  Otherwise R is one sort of the
-neighbors' node lists by label, and each spliced step is linked in
-before its triggering node.  A closed label gap relabels the
-smallest sparse enough window around it, not the whole list.  Folding in
-all vertices costs O((n + L) log L) for the list, where L is the walk's
+integer order labels, held as parallel int lists (`_Walk`) that also
+chain each vertex's nodes; `local_best_choice` splices one vertex into
+it in place.  A vertex's restriction R is the steps of its earlier
+neighbors.  When none of them takes the vertex's start color, the
+vertex never moves before its final step, and its splice costs
+O(d + |R|) with no sort.  Otherwise R is one sort of the neighbors'
+chains by label, and each spliced step is linked in before its
+triggering node.  A closed label gap relabels the smallest sparse
+enough window around it, not the whole list.  Folding in all vertices
+costs O((n + L) log L) for the list, where L is the walk's
 length, plus O(|R| log d) to sort the restriction R of each vertex that
-must move (the sort merges the d sorted node lists) and O(|R|) per color
+must move (the sort merges the d sorted chains) and O(|R|) per color
 choice made against it: O((n + L) log L + sum of |R|) when back-degrees
 and choices per vertex are bounded.  The tuple of steps is built once,
 at the end, in one C-level pass (`_steps`).
@@ -32,7 +32,7 @@ at the end, in one C-level pass (`_steps`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from operator import index
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -192,10 +192,10 @@ class _Walk:
     smallest aligned window of 2**i labels around it holding at most
     (2 / _DENSITY) ** i steps is relabelled evenly (Bender et al., ESA 2002, "Two simplified algorithms
     for maintaining order in a list"), which they show costs O(log L)
-    amortized relabels per insertion.  `by_vertex[v]` lists v's own nodes
-    in walk order, as long as v's steps are inserted in walk order; a
-    vertex without steps has no entry.  `stats`, when given, is the dict
-    the color choices count into (see `select_best_choice`).
+    amortized relabels per insertion.  v's nodes form a chain, newest
+    first: `first[v]`, then `same[node]` for each, 0 (the head) ending
+    it.  `stats`, when given, is the dict the color choices count into
+    (see `select_best_choice`).
     """
 
     tail = _TAIL
@@ -208,7 +208,8 @@ class _Walk:
         self.label = [-1, -1]  # the head's is below every step's (all >= 0)
         self.prev = [-1, _HEAD]
         self.next = [_TAIL, -1]
-        self.by_vertex: dict[int, list[int]] = {}
+        self.first = [0] * len(start)
+        self.same = [0, 0]
         self.relabelled = 0  # nodes relabelled so far, for the cost bound
 
     def __iter__(self) -> Iterator[int]:
@@ -217,9 +218,6 @@ class _Walk:
         while x != _TAIL:
             yield x
             x = nxt[x]
-
-    def index(self, node: int) -> int:
-        return next(i for i, x in enumerate(self) if x == node)
 
     def sequence(self) -> RecoloringSequence:
         nodes = list(self)
@@ -243,7 +241,8 @@ class _Walk:
             # anchor the window at a real neighbour's label
             label.append(label[y] if x == _HEAD else label[x])
             self._relabel(z)
-        self.by_vertex.setdefault(vertex, []).append(z)
+        self.same.append(self.first[vertex])
+        self.first[vertex] = z
 
     def _relabel(self, z: int) -> None:
         """Spread labels evenly over the smallest window around z's label
@@ -292,20 +291,23 @@ def local_best_choice(
     R and makes the color choices.
     """
     start = walk.start.colors
-    if not (0 <= u < g.n and u < len(start)):
-        raise ValueError(f"vertex {u} outside 0..{min(g.n, len(start)) - 1}")
+    n = len(start)
+    if not 0 <= u < n:
+        raise ValueError(f"vertex {u} outside 0..{n - 1}")
+    if n != g.n:
+        raise ValueError(f"walk covers {n} vertices, graph has {g.n}")
     nbrs = tuple(nbrs)
     if not g.adj[u].issuperset(nbrs):
         raise ValueError(f"nbrs must be neighbors of {u}")
-    by_vertex = walk.by_vertex
-    color = walk.color
+    first, same, color = walk.first, walk.same, walk.color
     u_color = start[u]
     for w in nbrs:
-        if w in by_vertex:
-            for x in by_vertex[w]:
-                if color[x] == u_color:
-                    _splice(u, nbrs, walk, beta_u)
-                    return
+        x = first[w]
+        while x:
+            if color[x] == u_color:
+                _splice(u, nbrs, walk, beta_u)
+                return
+            x = same[x]
     if u_color != beta_u:
         walk.insert_before(_TAIL, u, beta_u)
 
@@ -314,11 +316,14 @@ def _splice(u: int, nbrs: tuple[int, ...], walk: _Walk, beta_u: int) -> None:
     """`local_best_choice` for a u that some neighbor step forces to move."""
     t = walk.start.palette_size
     nbr_set = frozenset(nbrs)
-    by_vertex = walk.by_vertex
-    restriction = sorted(
-        chain.from_iterable(by_vertex[w] for w in nbr_set if w in by_vertex),
-        key=walk.label.__getitem__,
-    )
+    first, same = walk.first, walk.same
+    restriction = []
+    for w in nbr_set:
+        x = first[w]
+        while x:
+            restriction.append(x)
+            x = same[x]
+    restriction.sort(key=walk.label.__getitem__)  # Timsort reverses each chain
     nbr_colors = list(map(walk.color.__getitem__, restriction))
 
     start = walk.start.colors
@@ -334,7 +339,7 @@ def _splice(u: int, nbrs: tuple[int, ...], walk: _Walk, beta_u: int) -> None:
             taken.add(u_color)
             valid = [x for x in palette if x not in taken]
             if not valid:
-                raise EmptyValidSet(u, walk.index(node) - inserted)
+                raise EmptyValidSet(u, list(walk).index(node) - inserted)
             x = select_best_choice(beta_u, valid, nbr_colors[j:], walk.stats)
             walk.insert_before(node, u, x)
             inserted += 1

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations, repeat
+from operator import index
 from typing import NamedTuple
 
 from .errors import InvalidParams
@@ -102,10 +103,15 @@ def gen_partial_ktree(
 
     Each edge survives independently with probability keep_prob (drawn
     from [0.5, 0.9] when not given).  The k-tree's decomposition remains
-    valid for the subgraph.  A keep_prob outside [0, 1] raises InvalidParams.
+    valid for the subgraph.  A keep_prob outside [0, 1] raises InvalidParams,
+    and a seed that is not an integer TypeError.
     """
     if keep_prob is not None and not 0 <= keep_prob <= 1:
         raise InvalidParams(f"keep_prob must lie in [0, 1], got {keep_prob}")
+    try:
+        seed = index(seed)
+    except TypeError:
+        raise TypeError(f"seed must be an integer, got {seed!r}") from None
     g, td, _ = gen_ktree(n, k, seed)
     rng = random.Random(seed ^ 0x5EED)
     p = keep_prob if keep_prob is not None else rng.uniform(0.5, 0.9)

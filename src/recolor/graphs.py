@@ -106,8 +106,7 @@ def is_proper(g: Graph, coloring: Coloring) -> bool:
     """
     t = coloring.palette_size
     cols = coloring.colors
-    if len(cols) != g.n:
-        raise ValueError(f"coloring covers {len(cols)} vertices, graph has {g.n}")
+    _check_covers(g, "coloring", len(cols))
     if cols and max(cols) > t:
         v = next(v for v, c in enumerate(cols) if c > t)
         raise PaletteViolation(v, cols[v], t)
@@ -157,7 +156,7 @@ class EliminationOrdering:
 
     @property
     def max_back_degree(self) -> int:
-        return max((len(b) for b in self.back_nbrs), default=0)
+        return max(map(len, self.back_nbrs), default=0)
 
     @property
     def perfect(self) -> bool:
@@ -173,14 +172,18 @@ class EliminationOrdering:
                     yield v, a, b
 
 
+def _check_covers(g: Graph, what: str, n: int) -> None:
+    if n != g.n:
+        raise ValueError(f"{what} covers {n} vertices, graph has {g.n}")
+
+
 def _check_of(g: Graph, ordering: EliminationOrdering) -> None:
     """Raise ValueError unless the ordering was built from g or a graph
     equal to it."""
     h = ordering.graph
     if h is g or h == g:
         return
-    if h.n != g.n:
-        raise ValueError(f"ordering covers {h.n} vertices, graph has {g.n}")
+    _check_covers(g, "ordering", h.n)
     raise ValueError("ordering was built for another graph")
 
 

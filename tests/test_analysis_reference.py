@@ -5,12 +5,13 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from recolor import (
     Coloring,
     EliminationOrdering,
+    Graph,
     RecoloringSequence,
     RecoloringStep,
     RecolorError,
@@ -26,11 +27,16 @@ import analysis_reference as ref
 
 
 @st.composite
-def walks(draw, max_n=12, max_steps=40):
+def walks(draw, max_n=12, max_steps=40, below_room=False, once=False):
     """A partial k-tree (k = 1..3) under its degeneracy ordering or a
     random one, a palette below, at (most often) or above 2d+1, and a
     walk on it: a constructed valid one, or random steps from a random
-    start coloring (mostly invalid walks)."""
+    start coloring (mostly invalid walks).
+
+    With `below_room` the palette lies in 1..2d, so vertices with room
+    for the spacing and budget checks (t >= 2d'+1 for their own
+    back-degree d') and vertices without it mix.  With `once` the walk
+    is random steps that recolor no vertex twice."""
     k = draw(st.integers(min_value=1, max_value=3))
     n = draw(st.integers(min_value=k + 1, max_value=max_n))
     seed = draw(st.integers(min_value=0, max_value=10_000))
@@ -40,9 +46,13 @@ def walks(draw, max_n=12, max_steps=40):
     else:
         ordering = EliminationOrdering(g, draw(st.permutations(range(n))))
         d = ordering.max_back_degree
-    palettes = st.integers(min_value=max(d, 1), max_value=2 * d + 3)
-    t = draw(st.one_of(st.just(2 * d + 1), palettes))
-    if t >= d + 2 and draw(st.booleans()):
+    if below_room:
+        assume(d >= 1)
+        t = draw(st.integers(min_value=1, max_value=2 * d))
+    else:
+        palettes = st.integers(min_value=max(d, 1), max_value=2 * d + 3)
+        t = draw(st.one_of(st.just(2 * d + 1), palettes))
+    if not once and t >= d + 2 and draw(st.booleans()):
         alpha = gen_random_coloring(g, ordering, t, seed + 1)
         beta = gen_random_coloring(g, ordering, t, seed + 2)
         return g, ordering, best_choice_sequence(g, ordering, alpha, beta)
@@ -57,6 +67,11 @@ def walks(draw, max_n=12, max_steps=40):
     )
     size = draw(st.integers(min_value=0, max_value=max_steps))
     steps = draw(st.lists(st.tuples(vertices, colors), min_size=size, max_size=size))
+    if once:  # keep each vertex's first step
+        first: dict[int, int] = {}
+        for v, c in steps:
+            first.setdefault(v, c)
+        steps = list(first.items())
     s = RecoloringSequence(
         tuple(RecoloringStep(v, c) for v, c in steps), Coloring(start, t)
     )
@@ -86,6 +101,20 @@ def clique_lists(draw, g, ordering):
     return out
 
 
+@st.composite
+def nonempty_clique_lists(draw, g, ordering):
+    """One to six cliques, each a subset of some vertex v with its
+    back-neighbourhood, of any size from 1 up."""
+    cliques = sorted({
+        c
+        for v, b in enumerate(ordering.back_nbrs)
+        for size in range(1, len(b) + 2)
+        for c in combinations((*b, v), size)
+        if all(y in g.adj[x] for x, y in combinations(c, 2))
+    })
+    return draw(st.lists(st.sampled_from(cliques), min_size=1, max_size=6))
+
+
 def outcome(check, *args):
     try:
         return check(*args)
@@ -93,8 +122,12 @@ def outcome(check, *args):
         return type(e), str(e)
 
 
-@given(walks(), st.booleans(), st.data())
-@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(walks(), walks(below_room=True), walks(once=True)),
+    st.booleans(),
+    st.data(),
+)
+@settings(max_examples=600, deadline=None)
 def test_report_matches_reference(case, causation, data):
     g, ordering, s = case
     cliques = data.draw(clique_lists(g, ordering))
@@ -104,6 +137,28 @@ def test_report_matches_reference(case, causation, data):
 
     assert outcome(report, analyze_sequence) == outcome(report, ref.analyze_sequence)
 
+
+@given(walks(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_naughty_scan_matches_reference(case, data):
+    g, ordering, s = case
+    cliques = data.draw(nonempty_clique_lists(g, ordering))
+    report = analyze_sequence(g, ordering, s, naughty_cliques=cliques)
+    expected = ref.analyze_sequence(g, ordering, s, naughty_cliques=cliques)
+    assert report.stats == expected.stats
+    assert report.stats["naughty_cliques"] == len(cliques)
+
+
+def test_naughty_scan_finds_a_naughty_step():
+    # a single recoloring of vertex 0 at t=7 leaves at least three colors
+    # free around it, and nothing follows it to cause it
+    g = Graph(2, [(0, 1)])
+    ordering = EliminationOrdering(g, (0, 1))
+    s = RecoloringSequence((RecoloringStep(0, 3),), Coloring((1, 2), 7))
+    report = analyze_sequence(g, ordering, s, naughty_cliques=[(0,), (0, 1)])
+    expected = ref.analyze_sequence(g, ordering, s, naughty_cliques=[(0,), (0, 1)])
+    assert report.stats == expected.stats
+    assert report.stats["naughty_max"] == 1
 
 
 # v = 0 recolors where the flag is set, a member of B elsewhere.

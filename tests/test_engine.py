@@ -180,6 +180,40 @@ class TestLocalBestChoice:
             local_best_choice(g, u, frozenset(), out, beta_u=1)
 
 
+    @pytest.mark.parametrize("u, nbrs", [(0, (1,)), (2, (3,))])
+    def test_walk_smaller_than_graph_rejected(self, u, nbrs):
+        # (2, (3,)) names a neighbour the walk has no entry for
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        out = walk([(1, 3)], (1, 2, 1), 3)
+        with pytest.raises(ValueError, match="^walk covers 3 vertices, graph has 4$"):
+            local_best_choice(g, u, nbrs, out, beta_u=1)
+
+    def test_walk_larger_than_graph_rejected(self):
+        out = walk([], (1, 2, 1, 2), 3)
+        with pytest.raises(ValueError, match="^walk covers 4 vertices, graph has 3$"):
+            local_best_choice(p3(), 0, (), out, beta_u=1)
+
+    @given(engine_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_vertex_chains_hold_exactly_their_nodes(self, case):
+        # the chain from first[v] through same[] lists v's nodes newest
+        # first, which is v's nodes in a scan of the walk, backwards
+        g, ordering, t, alpha, beta = case
+        w = engine._Walk(alpha)
+        for v in ordering.order:
+            local_best_choice(g, v, ordering.back_nbrs[v], w, beta.colors[v])
+        scan = {v: [] for v in range(g.n)}
+        for x in w:
+            scan[w.vertex[x]].append(x)
+        for v in range(g.n):
+            chain, x = [], w.first[v]
+            while x:
+                chain.append(x)
+                x = w.same[x]
+            assert chain == scan[v][::-1]
+        assert len(w.same) == len(w.vertex)
+
+
 class TestBestChoiceSequence:
     def test_worked_example(self):
         g = p3()

@@ -85,6 +85,16 @@ class TestGenerators:
         with pytest.raises(InvalidParams, match="keep_prob"):
             gen_partial_ktree(10, 2, 0, keep_prob=keep_prob)
 
+    @pytest.mark.parametrize("seed", [0.7, "1", None])
+    def test_partial_ktree_non_integer_seed_named(self, seed):
+        # keep_prob passed in the seed's place used to fail deep in the RNG
+        # seeding with "unsupported operand type(s) for ^"
+        with pytest.raises(TypeError, match="^seed must be an integer, got "):
+            gen_partial_ktree(10, 2, seed, 1)
+
+    def test_partial_ktree_bool_seed_reads_as_int(self):
+        assert gen_partial_ktree(10, 2, True, 0.7) == gen_partial_ktree(10, 2, 1, 0.7)
+
     def test_partial_ktree_keep_prob_bounds_accepted(self):
         full = gen_ktree(10, 2, 0).graph
         assert gen_partial_ktree(10, 2, 0, keep_prob=0.0).graph.m == 0
