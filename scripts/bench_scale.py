@@ -3,6 +3,7 @@ collector work from n = 10^3 to 10^6, written as one JSON file.
 
     python3 scripts/bench_scale.py OUT.json [--repeats 3] [--max-n 1000000]
         [--src DIR]
+    python3 scripts/bench_scale.py --cell FAMILY:N [--repeats 3] [--src DIR]
 
 Two families of cells, each cell one size:
 
@@ -29,6 +30,11 @@ tree id of the package's .py files as they were read, which
 measured code), the number of usable processors, and, per family and
 stage, the log-log slope of time against n from 10^3 to 10^5 and, for
 chordal, from 10^5 to 10^6.
+
+`--cell FAMILY:N` (for example `chordal:100000`) runs that one cell in
+this interpreter and prints its JSON to stdout instead of writing a
+file; a chordal cell exits non-zero if its walk does not replay to beta
+or fails the analysis.
 
 The committed results are named `BENCH_<tag>.json`.  `--max-n` drops
 the larger cells; the 10^6 cell holds about 1 GB of RSS in its timed
@@ -217,7 +223,9 @@ def main(argv=None) -> int:
     p.add_argument("--repeats", type=int, default=3, help="timed repeats per cell")
     p.add_argument("--max-n", type=int, default=10**6, help="skip cells above this n")
     p.add_argument("--src", default=str(ROOT / "src"), help="directory holding the recolor package")
-    p.add_argument("--cell", help=argparse.SUPPRESS)  # FAMILY:N, run in this process
+    p.add_argument(
+        "--cell", metavar="FAMILY:N", help="run one cell in this process and print its JSON"
+    )
     args = p.parse_args(argv)
     if args.repeats < 1:
         p.error("--repeats must be at least 1")

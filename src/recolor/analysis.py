@@ -24,14 +24,16 @@ Conventions for a vertex v with earlier-neighbor set B, d = |B|:
     the saved ones among them (by 1 when B is empty).
 
 Cost.  One stable sort of the walk's positions by vertex gives each
-vertex's step positions as a slice.  Every check but the budget is over
-pairs of v's recolorings, and a vertex recolored at most once has all of
-B's steps saved (r = kappa, so its bound is 1): it is never in violation
-and is never visited: C-level sums over all vertices count its r.  Only
-a vertex recolored twice or more gets its restriction R, by sorting the
-d+1 sorted slices (O(|R| log d)); its saved count is then O(own steps)
-in closed form, and the pair checks read each revisit's window,
-replaying R at most once for coverage.
+vertex's step positions as a slice.  A vertex recolored at most once has
+all of B's steps saved (r = kappa, so its bound is 1): it is never in
+violation and is never visited, and C-level sums over all vertices count
+its r.  Only a vertex recolored twice or more gets its restriction R, by
+sorting the d+1 sorted slices (O(|R| log d)), and one pass over the gaps
+between its recolorings yields each gap's tight test, causation test,
+spacing test and share of r; its color history serves causation and
+rotation, and R is replayed at most once, for coverage.  A clique scan
+lists the new colors and which steps are forced once, then reads each
+step's windows as slices.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, combinations, compress
-from operator import itemgetter, mul, sub
+from operator import eq, itemgetter, mul, sub
 from typing import Iterable, Sequence
 
 from .errors import NotAClique
@@ -59,22 +61,6 @@ def per_vertex_counts(s: RecoloringSequence) -> dict[int, int]:
 # per-vertex checks over the restriction to B ∪ {v}
 
 
-def _tight(pos: Sequence[int], d: int) -> list[int]:
-    return [p for p, q in zip(pos, pos[1:]) if q - p - 1 == d]
-
-
-def _saved_count(m: int, pos: Sequence[int], d: int) -> int:
-    """How many of the m steps of a restriction are saved, pos being the
-    positions of v's own steps: all before v's first recoloring and after
-    its last, and in each gap between two of them all but the first d."""
-    if not pos:
-        return m
-    r = pos[0] + m - 1 - pos[-1]
-    for p, q in zip(pos, pos[1:]):
-        r += max(0, q - p - 1 - d)
-    return r
-
-
 @dataclass(frozen=True)
 class Violation:
     check: str
@@ -83,80 +69,21 @@ class Violation:
     note: str
 
 
-def _save_inequality(
-    m: int, pos: Sequence[int], v: int, d: int
-) -> tuple[int, list[Violation]]:
-    """The budget check over a restriction of m steps: r, and a violation
-    if v's recoloring count exceeds its bound."""
-    count_v = len(pos)
-    kappa = m - count_v
-    if d == 0:
-        r, bound = 0, 1
-    else:
-        r = _saved_count(m, pos, d)
-        bound = 1 + -((-(kappa - r)) // d)  # 1 + ceil((kappa - r) / d)
-    if count_v <= bound:
-        return r, []
-    note = f"{count_v} recolorings exceed bound {bound} (kappa={kappa}, r={r}, d={d})"
-    return r, [Violation("save-inequality", v, (), note)]
-
-
-def _revisit_spacing(pos: Sequence[int], v: int, d: int) -> list[Violation]:
-    """v is never recolored twice in a row, and a revisit after fewer than
-    d intervening steps may only be v's last recoloring."""
-    out = []
-    for p, q in zip(pos, pos[1:]):
-        gap = q - p - 1
-        if gap == 0:
-            out.append(
-                Violation(
-                    "revisit-spacing", v, (p, q), "vertex recolored twice in a row"
-                )
-            )
-        elif gap <= d - 1 and q != pos[-1]:
-            out.append(
-                Violation(
-                    "revisit-spacing", v, (p, q),
-                    f"revisit after only {gap} steps before a later recoloring",
-                )
-            )
-    return out
-
-
-def _causation(
-    rsteps: Sequence[RecoloringStep], pos: Sequence[int], start: Coloring, v: int
-) -> list[Violation]:
-    """Every recoloring of v but its last is immediately followed, inside
-    the restriction, by an earlier neighbor taking v's old color."""
-    # Every step of the restriction that is not v's recolors a member of B.
-    out = []
-    color = start[v]
-    for p, q in zip(pos, pos[1:]):
-        if q == p + 1 or rsteps[p + 1].new_color != color:
-            out.append(
-                Violation(
-                    "causation", v, (p,),
-                    "non-final recoloring not forced by the following step",
-                )
-            )
-        color = rsteps[p].new_color
-    return out
-
-
 def _tight_palette_coverage(
     rsteps: Sequence[RecoloringStep],
-    pos: Sequence[int],
+    tight: Sequence[int],
     start: Coloring,
     v: int,
     back: Sequence[int],
     t: int,
 ) -> list[Violation]:
-    """At palette t = 2d+1, every tight recoloring of v sees the whole
-    palette: v's color before and after, B's colors before, and the d
-    intervening new colors.  A tight recoloring whose follower is the last
-    step of the restriction is exempt: the final move is a free choice."""
+    """At palette t = 2d+1, every tight recoloring of v, at a position in
+    `tight`, sees the whole palette: v's color before and after, B's
+    colors before, and the d intervening new colors.  A tight recoloring
+    whose follower is the last step of the restriction is exempt: the
+    final move is a free choice."""
     d = len(back)
-    want = [p for p in _tight(pos, d) if p + d + 2 != len(rsteps)]
+    want = [p for p in tight if p + d + 2 != len(rsteps)]
     if not want:
         return []
     full = set(range(1, t + 1))
@@ -179,14 +106,6 @@ def _tight_palette_coverage(
                 )
             )
     return out
-
-
-def _rotating(hist: Sequence[int]) -> list[int]:
-    """Ordinals (0 = first recoloring) of the rotating recolorings of one
-    vertex, given its color history x_0 (the start color), x_1, ...: the
-    recoloring to x_j is rotating iff x_{j+2} = x_{j-1}.  Recolorings
-    lacking two successors are never rotating."""
-    return [j - 1 for j in range(1, len(hist) - 2) if hist[j + 2] == hist[j - 1]]
 
 
 def _clique_ids(clique_x: Iterable[int], n: int) -> list[int]:
@@ -223,7 +142,7 @@ def naughty_recolorings(
     t = s.palette_size
     keep = set(xs)
     rsteps = [st for st in s.steps if st.vertex in keep]
-    m = len(rsteps)
+    new = [c for _, c in rsteps]
     cur = {x: s.start[x] for x in xs}
     pre_colors: list[frozenset[int]] = []
     pre_own: list[int] = []
@@ -231,18 +150,14 @@ def naughty_recolorings(
         pre_colors.append(frozenset(cur.values()))
         pre_own.append(cur[w])
         cur[w] = c
+    forced = list(map(eq, new[1:], pre_own))  # step j is forced by step j+1
     palette = set(range(1, t + 1))
-    out = []
-    for i in range(m):
-        window_new = {rsteps[k].new_color for k in range(i + 1, min(m, i + w1 + 1))}
-        if len(palette - pre_colors[i] - window_new) < 3:
-            continue
-        for j in range(i + 1, min(m - 2, i + w2) + 1):
-            if rsteps[j + 1].new_color == pre_own[j]:
-                break
-        else:
-            out.append(i)
-    return out
+    return [
+        i
+        for i, pre in enumerate(pre_colors)
+        if len(palette - pre - set(new[i + 1 : i + w1 + 1])) >= 3
+        and not any(forced[i + 1 : i + w2 + 1])
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -327,20 +242,61 @@ def analyze_sequence(
     for v in compress(range(g.n), map((1).__lt__, cl)):
         back = backs[v]
         d = len(back)
+        room = t > 2 * d
         rsteps = restriction((*back, v))
+        m = len(rsteps)
         pos = [i for i, st in enumerate(rsteps) if st.vertex == v]
-        tight_total += len(_tight(pos, d))
-        if causation:
-            violations.extend(_causation(rsteps, pos, s.start, v))
-        if t > 2 * d:
-            violations.extend(_revisit_spacing(pos, v, d))
-            r, over = _save_inequality(len(rsteps), pos, v, d)
-            saved_total += r - (len(rsteps) - len(pos))
-            violations.extend(over)
+        last = pos[-1]
+        hist = [s.start[v], *(rsteps[p].new_color for p in pos)]  # x_0, x_1, ...
+        # saved: B's steps before v's first recoloring and after its last,
+        # and in each gap between two of them all but the first d
+        r = pos[0] + m - 1 - last
+        tight = []
+        spaced = []
+        for p, q, before in zip(pos, pos[1:], hist):
+            gap = q - p - 1
+            if gap == d:  # tight: exactly d steps to v's next recoloring
+                tight.append(p)
+            elif gap > d:
+                r += gap - d
+            # causation: every recoloring of v but its last is immediately
+            # followed by an earlier neighbor taking v's old color (a step
+            # of the restriction that is not v's recolors a member of B)
+            if causation and (gap == 0 or rsteps[p + 1].new_color != before):
+                violations.append(
+                    Violation(
+                        "causation", v, (p,),
+                        "non-final recoloring not forced by the following step",
+                    )
+                )
+            # spacing: v is never recolored twice in a row, and a revisit
+            # after fewer than d intervening steps may only be v's last
+            if gap == 0:
+                spaced.append(
+                    Violation("revisit-spacing", v, (p, q), "vertex recolored twice in a row")
+                )
+            elif gap < d and q != last:
+                spaced.append(
+                    Violation(
+                        "revisit-spacing", v, (p, q),
+                        f"revisit after only {gap} steps before a later recoloring",
+                    )
+                )
+        tight_total += len(tight)
+        if room:
+            violations.extend(spaced)
+            # budget: v's recolorings number at most 1 + ceil((kappa - r) / d)
+            kappa = m - len(pos)
+            saved_total += r - kappa
+            bound = 1 + (-((r - kappa) // d) if d else 0)
+            if len(pos) > bound:
+                note = f"{len(pos)} recolorings exceed bound {bound} (kappa={kappa}, r={r}, d={d})"
+                violations.append(Violation("save-inequality", v, (), note))
         if d == dmax and t == 2 * d + 1:
-            violations.extend(_tight_palette_coverage(rsteps, pos, s.start, v, back, t))
-        hist = [s.start[v], *(rsteps[p].new_color for p in pos)]
-        rotating_total += len(_rotating(hist))
+            violations.extend(_tight_palette_coverage(rsteps, tight, s.start, v, back, t))
+        # rotating: the recoloring to x_j is rotating iff x_{j+2} = x_{j-1};
+        # one lacking two successors never is
+        rotating_total += sum(map(eq, hist[3:], hist))
     stats = {
         "tight": tight_total,
         "saved": saved_total,

@@ -33,9 +33,11 @@ SCHEMA_VERSION = 1
 
 
 def per_vertex_bound(d: int) -> int:
-    """Maximum recolorings of any single vertex, in terms of the
-    degeneracy d of the input graph (palette size 2d+1 or larger): a
-    deliberately loose worst-case ceiling, far above observed counts."""
+    """A placeholder ceiling of 2^18 * d^7 recolorings per vertex for
+    degeneracy d, written into every bench summary.  It is not a proved
+    bound: no source for the constant is known, and it sits far above
+    observed counts.  The analysis's own per-vertex budget is the save
+    inequality that `analyze_sequence` checks."""
     if d < 1:
         raise ValueError("degeneracy must be at least 1")
     return (2**18) * d**7

@@ -7,7 +7,9 @@ Here each restriction is rebuilt for one vertex at a time: the steps of
 every member are collected by index, merged by sorting, and copied into
 new step objects; each detector then finds v's own positions again.
 `analyze_sequence` keeps the one palette-coverage rule the library has
-(max-back-degree vertices, palette exactly 2d+1).
+(max-back-degree vertices, palette exactly 2d+1), and scans each clique
+with `_naughty`, which filters the whole walk and re-reads every step's
+windows step by step.
 """
 
 from __future__ import annotations
@@ -23,9 +25,11 @@ from recolor import (
     RecoloringSequence,
     RecoloringStep,
     Violation,
-    naughty_recolorings,
     per_vertex_counts,
 )
+from recolor.analysis import _clique_ids
+from recolor.errors import NotAClique
+from recolor.graphs import _check_covers
 
 
 def _steps_by_vertex(s: RecoloringSequence) -> dict[int, list[tuple[int, int]]]:
@@ -194,6 +198,39 @@ def _rotating(own: Sequence[tuple[int, int]], start_color: int) -> list[int]:
     return [own[j - 1][0] for j in range(1, len(own) - 1) if hist[j + 2] == hist[j - 1]]
 
 
+def _naughty(s: RecoloringSequence, g: Graph, clique_x: Iterable[int]) -> list[int]:
+    """`naughty_recolorings` as a scan that re-reads each step's two
+    windows step by step, with the library's id and clique checks."""
+    _check_covers(g, "walk", len(s.start))
+    xs = _clique_ids(clique_x, g.n)
+    for i, x in enumerate(xs):
+        for y in xs[i + 1 :]:
+            if y not in g.adj[x]:
+                raise NotAClique(xs, (x, y))
+    d = len(xs) + 1
+    rsteps = [st for st in s.steps if st.vertex in xs]
+    m = len(rsteps)
+    cur = {x: s.start[x] for x in xs}
+    pre_colors = []
+    pre_own = []
+    for w, c in rsteps:
+        pre_colors.append(set(cur.values()))
+        pre_own.append(cur[w])
+        cur[w] = c
+    out = []
+    for i in range(m):
+        window_new = {rsteps[k].new_color for k in range(i + 1, min(m, i + 3 * d + 5))}
+        free = set(range(1, s.palette_size + 1)) - pre_colors[i] - window_new
+        if len(free) < 3:
+            continue
+        for j in range(i + 1, min(m - 2, i + 3 * d - 4) + 1):
+            if rsteps[j + 1].new_color == pre_own[j]:
+                break
+        else:
+            out.append(i)
+    return out
+
+
 def analyze_sequence(
     g: Graph,
     ordering: EliminationOrdering,
@@ -238,7 +275,7 @@ def analyze_sequence(
         "rotating": rotating_total,
     }
     if naughty_cliques is not None:
-        naughty_counts = [len(naughty_recolorings(s, g, x)) for x in naughty_cliques]
+        naughty_counts = [len(_naughty(s, g, x)) for x in naughty_cliques]
         stats["naughty_max"] = max(naughty_counts, default=0)
         stats["naughty_cliques"] = len(naughty_counts)
     return AnalysisReport(

@@ -15,12 +15,12 @@ from recolor import (
     RecoloringSequence,
     RecoloringStep,
     RecolorError,
-    analysis,
     analyze_sequence,
     best_choice_sequence,
     degeneracy,
     gen_partial_ktree,
     gen_random_coloring,
+    naughty_recolorings,
 )
 
 import analysis_reference as ref
@@ -161,7 +161,9 @@ def test_naughty_scan_finds_a_naughty_step():
     assert report.stats["naughty_max"] == 1
 
 
-# v = 0 recolors where the flag is set, a member of B elsewhere.
+# v = d, the last vertex of K_{d+1}, recolors where the flag is set, a
+# member of B = {0, ..., d-1} elsewhere; K_1 has no B, so at d = 0 only
+# v's own steps are kept.
 @example([False, False, False], 1)  # v never recolored: every step saved
 @example([False, True, False, False], 1)  # one recoloring of v
 @example([True, False, False, False, True], 1)  # a gap above d
@@ -171,6 +173,34 @@ def test_naughty_scan_finds_a_naughty_step():
 @given(st.lists(st.booleans(), max_size=30), st.integers(min_value=0, max_value=4))
 @settings(max_examples=300, deadline=None)
 def test_saved_count_matches_reference(own, d):
-    rsteps = [RecoloringStep(0 if mine else 1, 1) for mine in own]
-    pos = [i for i, mine in enumerate(own) if mine]
-    assert analysis._saved_count(len(rsteps), pos, d) == len(ref._saved(rsteps, 0, d))
+    g = Graph(d + 1, list(combinations(range(d + 1), 2)))
+    ordering = EliminationOrdering(g, range(d + 1))
+    t = 2 * d + 1
+    vertices = [d if mine else i % d for i, mine in enumerate(own) if mine or d]
+    s = RecoloringSequence(
+        tuple(RecoloringStep(v, i % t + 1) for i, v in enumerate(vertices)),
+        Coloring([1] * (d + 1), t),
+    )
+    report = analyze_sequence(g, ordering, s).to_json_dict()
+    assert report == ref.analyze_sequence(g, ordering, s).to_json_dict()
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_naughty_positions_match_reference(data):
+    # long walks inside K_q, so that both windows of the scan (3d+4 and
+    # 3d-4 steps) reach past the clique's last step and fit inside it
+    q = data.draw(st.integers(min_value=1, max_value=4))
+    g = Graph(q, list(combinations(range(q), 2)))
+    t = data.draw(st.integers(min_value=q, max_value=q + 12))
+    start = data.draw(st.lists(st.integers(min_value=1, max_value=t), min_size=q, max_size=q))
+    # steps draw from the first `top` colors, so some windows leave
+    # exactly three colors free
+    top = data.draw(st.integers(min_value=1, max_value=t))
+    colors = st.integers(min_value=1, max_value=top)
+    size = data.draw(st.integers(min_value=0, max_value=80))
+    step = st.tuples(st.integers(min_value=0, max_value=q - 1), colors)
+    steps = data.draw(st.lists(step, min_size=size, max_size=size))
+    s = RecoloringSequence(tuple(RecoloringStep(v, c) for v, c in steps), Coloring(start, t))
+    clique = data.draw(st.lists(st.integers(min_value=0, max_value=q - 1), min_size=1, unique=True))
+    assert naughty_recolorings(s, g, clique) == ref._naughty(s, g, clique)
