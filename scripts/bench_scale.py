@@ -9,11 +9,17 @@ Two families of cells, each cell one size:
 
 - chordal, n = 10^3, 10^4, 10^5, 10^6: `gen_chordal(n, 3, SEED)` (gen),
   `mcs_peo` (order), two `gen_random_coloring` draws at t=7 (colorings),
-  `best_choice_sequence` (construct), `apply_sequence` (replay) and
-  `analyze_sequence` (analyze), whose report must pass;
+  `best_choice_sequence` (construct), `apply_sequence` (replay),
+  `analyze_sequence` (analyze), whose report must pass, then the graph
+  and the walk written as the CLI writes them, `json.dumps(obj,
+  indent=1)` of `io.graph_to_json` and `io.sequence_to_json` (write),
+  and read back with `io.read_graph` and `io.read_sequence` (read),
+  which must give the same graph and walk;
 - pipeline, n = 10^3, 10^4, 10^5: `gen_partial_ktree(n, 2, SEED, 0.7)`
   (gen), two colorings at t=5 along the k-tree's vertex order
-  (colorings) and `run_pipeline(bridge="none")` at t=5 (pipeline).
+  (colorings) and `run_pipeline(bridge="none")` at t=5 (pipeline),
+  whose two halves, replayed untimed on the graph, must end at gamma1
+  and gamma2.
 
 Each cell runs in a fresh interpreter that imports the library from
 `--src` (default: `src/` next to this script's directory), runs the
@@ -33,8 +39,7 @@ chordal, from 10^5 to 10^6.
 
 `--cell FAMILY:N` (for example `chordal:100000`) runs that one cell in
 this interpreter and prints its JSON to stdout instead of writing a
-file; a chordal cell exits non-zero if its walk does not replay to beta
-or fails the analysis.
+file; a cell exits non-zero if one of the checks above fails.
 
 The committed results are named `BENCH_<tag>.json`.  `--max-n` drops
 the larger cells; the 10^6 cell holds about 1 GB of RSS in its timed
@@ -55,6 +60,7 @@ import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from contextlib import contextmanager
@@ -125,6 +131,15 @@ def run_chordal(R, n: int, stage: Stages) -> None:
         report = R.analyze_sequence(g, peo, s)
     if end.colors != beta.colors or not report.passed:
         raise SystemExit(f"chordal n={n}: the walk does not replay to beta or fails analysis")
+    with tempfile.TemporaryDirectory() as tmp:
+        files = Path(tmp, "graph.json"), Path(tmp, "walk.json")
+        with stage("write"):
+            for path, obj in zip(files, (R.io.graph_to_json(g), R.io.sequence_to_json(s))):
+                path.write_text(json.dumps(obj, indent=1) + "\n")
+        with stage("read"):
+            read = R.io.read_graph(files[0]), R.io.read_sequence(files[1])
+    if read != (g, s):
+        raise SystemExit(f"chordal n={n}: the graph or the walk read back differs from the one written")
 
 
 def run_pipeline(R, n: int, stage: Stages) -> None:
@@ -139,12 +154,17 @@ def run_pipeline(R, n: int, stage: Stages) -> None:
     with stage("pipeline"):
         res = R.run_pipeline(g, td, alpha, beta, t, bridge="none")
     stage.digest("pipeline", res.alpha_side.steps, res.beta_side.steps)
+    # expand_sequence trusts the quotient walk and no bridge replays the halves
+    ends = R.apply_sequence(g, res.alpha_side), R.apply_sequence(g, res.beta_side)
+    if ends != (res.gamma1, res.gamma2):
+        raise SystemExit(f"pipeline n={n}: a half does not replay to its gamma")
 
 
 def run_cell(src: str, family: str, n: int, repeats: int) -> dict:
     """One cell in this process: `repeats` timed runs, one traced run."""
     sys.path.insert(0, src)
     import recolor as R
+    import recolor.io  # noqa: F401  (R.io, for the write and read stages)
 
     run = {"chordal": run_chordal, "pipeline": run_pipeline}[family]
     timed = []

@@ -30,8 +30,10 @@ violation and is never visited, and C-level sums over all vertices count
 its r.  Only a vertex recolored twice or more gets its restriction R, by
 sorting the d+1 sorted slices (O(|R| log d)), and one pass over the gaps
 between its recolorings yields each gap's tight test, causation test,
-spacing test and share of r; its color history serves causation and
-rotation, and R is replayed at most once, for coverage.  A clique scan
+spacing test and share of r, and each tight gap's coverage test; its
+color history serves causation and rotation.  Coverage reads a
+back-neighbour's color before a step by bisecting that neighbour's
+slice at the step's position, so no restriction is replayed.  A clique scan
 lists the new colors and which steps are forced once, then reads each
 step's windows as slices.
 """
@@ -39,14 +41,15 @@ step's windows as slices.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, combinations, compress
 from operator import eq, itemgetter, mul, sub
 from typing import Iterable, Sequence
 
 from .errors import NotAClique
-from .graphs import Coloring, EliminationOrdering, Graph, _check_covers, _check_of
-from .engine import RecoloringSequence, RecoloringStep
+from .graphs import EliminationOrdering, Graph, _check_covers, _check_of
+from .engine import RecoloringSequence
 
 
 def per_vertex_counts(s: RecoloringSequence) -> dict[int, int]:
@@ -67,45 +70,6 @@ class Violation:
     vertex: int | None
     indices: tuple[int, ...]
     note: str
-
-
-def _tight_palette_coverage(
-    rsteps: Sequence[RecoloringStep],
-    tight: Sequence[int],
-    start: Coloring,
-    v: int,
-    back: Sequence[int],
-    t: int,
-) -> list[Violation]:
-    """At palette t = 2d+1, every tight recoloring of v, at a position in
-    `tight`, sees the whole palette: v's color before and after, B's
-    colors before, and the d intervening new colors.  A tight recoloring
-    whose follower is the last step of the restriction is exempt: the
-    final move is a free choice."""
-    d = len(back)
-    want = [p for p in tight if p + d + 2 != len(rsteps)]
-    if not want:
-        return []
-    full = set(range(1, t + 1))
-    cur = {w: start[w] for w in (*back, v)}
-    snapshots = dict.fromkeys(want)  # colors of v and of B just before p
-    for i, (w, c) in enumerate(rsteps):
-        if i in snapshots:
-            snapshots[i] = (cur[v], [cur[u] for u in back])
-        cur[w] = c
-    out = []
-    for p, (c0, cs) in snapshots.items():
-        gap_new = [rsteps[k].new_color for k in range(p + 1, p + 1 + d)]
-        covered = {c0, rsteps[p].new_color, *cs, *gap_new}
-        if covered != full:
-            missing = sorted(full - covered)
-            out.append(
-                Violation(
-                    "tight-coverage", v, (p,),
-                    f"colors {missing} unused around a tight recoloring",
-                )
-            )
-    return out
 
 
 def _clique_ids(clique_x: Iterable[int], n: int) -> list[int]:
@@ -227,10 +191,11 @@ def analyze_sequence(
     by_vertex = sorted(range(len(steps)), key=list(map(itemgetter(0), steps)).__getitem__)
     offsets = list(accumulate(cl, initial=0))
 
-    def restriction(members: Iterable[int]) -> list[RecoloringStep]:
-        """The members' steps in walk order: one sort merges their slices."""
+    def restriction(members: Iterable[int]) -> list[int]:
+        """The walk positions of the members' steps, in walk order: one
+        sort merges their slices."""
         runs = (by_vertex[offsets[w] : offsets[w + 1]] for w in members)
-        return list(map(steps.__getitem__, sorted(chain.from_iterable(runs))))
+        return sorted(chain.from_iterable(runs))
 
     # The spacing and budget guarantees need t >= 2d+1 for v's d.  Count
     # r = kappa, all of B's steps, for each such v: w's steps are in the B
@@ -239,11 +204,14 @@ def analyze_sequence(
     later = map(sub, map(len, g.adj), map(len, backs))
     cramped = compress(backs, map(((t + 1) // 2).__le__, map(len, backs)))
     saved_total = sum(map(mul, cl, later)) - sum(sum(map(cl.__getitem__, b)) for b in cramped)
+    palette = set(range(1, t + 1))
     for v in compress(range(g.n), map((1).__lt__, cl)):
         back = backs[v]
         d = len(back)
         room = t > 2 * d
-        rsteps = restriction((*back, v))
+        covers = d == dmax and t == 2 * d + 1
+        rpos = restriction((*back, v))
+        rsteps = list(map(steps.__getitem__, rpos))
         m = len(rsteps)
         pos = [i for i, st in enumerate(rsteps) if st.vertex == v]
         last = pos[-1]
@@ -251,12 +219,29 @@ def analyze_sequence(
         # saved: B's steps before v's first recoloring and after its last,
         # and in each gap between two of them all but the first d
         r = pos[0] + m - 1 - last
-        tight = []
         spaced = []
+        uncovered = []
         for p, q, before in zip(pos, pos[1:], hist):
             gap = q - p - 1
             if gap == d:  # tight: exactly d steps to v's next recoloring
-                tight.append(p)
+                tight_total += 1
+                # coverage: at t = 2d+1 a tight recoloring of a max-back-degree
+                # vertex sees the whole palette (v's color before and after,
+                # B's colors before, the d intervening new colors), unless its
+                # follower is R's last step, a free choice
+                if covers and q != m - 1:
+                    seen = {before, *map(itemgetter(1), rsteps[p:q])}
+                    for u in back:
+                        lo = offsets[u]
+                        i = bisect_left(by_vertex, rpos[p], lo, offsets[u + 1])
+                        seen.add(steps[by_vertex[i - 1]][1] if i > lo else s.start[u])
+                    if seen != palette:
+                        uncovered.append(
+                            Violation(
+                                "tight-coverage", v, (p,),
+                                f"colors {sorted(palette - seen)} unused around a tight recoloring",
+                            )
+                        )
             elif gap > d:
                 r += gap - d
             # causation: every recoloring of v but its last is immediately
@@ -282,7 +267,6 @@ def analyze_sequence(
                         f"revisit after only {gap} steps before a later recoloring",
                     )
                 )
-        tight_total += len(tight)
         if room:
             violations.extend(spaced)
             # budget: v's recolorings number at most 1 + ceil((kappa - r) / d)
@@ -292,8 +276,7 @@ def analyze_sequence(
             if len(pos) > bound:
                 note = f"{len(pos)} recolorings exceed bound {bound} (kappa={kappa}, r={r}, d={d})"
                 violations.append(Violation("save-inequality", v, (), note))
-        if d == dmax and t == 2 * d + 1:
-            violations.extend(_tight_palette_coverage(rsteps, tight, s.start, v, back, t))
+        violations.extend(uncovered)
         # rotating: the recoloring to x_j is rotating iff x_{j+2} = x_{j-1};
         # one lacking two successors never is
         rotating_total += sum(map(eq, hist[3:], hist))
@@ -306,7 +289,7 @@ def analyze_sequence(
         naughty_counts = []
         for x in naughty_cliques:
             xs = _clique_ids(x, g.n)
-            rx = RecoloringSequence(tuple(restriction(xs)), s.start)
+            rx = RecoloringSequence(tuple(map(steps.__getitem__, restriction(xs))), s.start)
             naughty_counts.append(len(naughty_recolorings(rx, g, xs)))
         stats["naughty_max"] = max(naughty_counts, default=0)
         stats["naughty_cliques"] = len(naughty_counts)
