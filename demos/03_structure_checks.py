@@ -13,7 +13,6 @@ from recolor import (
     best_choice_sequence,
     gen_ktree,
     gen_random_coloring,
-    per_vertex_bound,
 )
 
 
@@ -33,8 +32,7 @@ def main():
     print("recolorings per vertex:")
     for count in sorted(hist):
         print(f"  {count} times: {hist[count]} vertices")
-    print(f"worst vertex: {report.max_count} recolorings "
-          f"(loose sanity ceiling {per_vertex_bound(d)}, not a bound from the paper)")
+    print(f"worst vertex: {report.max_count} recolorings")
 
     print(f"tight revisits: {report.stats['tight']}, "
           f"uncharged neighbor moves: {report.stats['saved']}, "

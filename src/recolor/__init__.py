@@ -83,7 +83,6 @@ from .generators import (
 from .experiment import (
     ExperimentConfig,
     ExperimentRow,
-    per_vertex_bound,
     resolve_t_rule,
     rows_to_csv,
     rows_to_json,

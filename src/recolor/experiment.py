@@ -32,17 +32,6 @@ from .oracle import DEFAULT_STATE_CAP, rt_distance
 SCHEMA_VERSION = 1
 
 
-def per_vertex_bound(d: int) -> int:
-    """A placeholder ceiling of 2^18 * d^7 recolorings per vertex for
-    degeneracy d, written into every bench summary.  It is not a proved
-    bound: no source for the constant is known, and it sits far above
-    observed counts.  The analysis's own per-vertex budget is the save
-    inequality that `analyze_sequence` checks."""
-    if d < 1:
-        raise ValueError("degeneracy must be at least 1")
-    return (2**18) * d**7
-
-
 def resolve_t_rule(rule: str | int, d: int) -> int:
     """Palette size from a rule like "2d+1", "d+2" or a plain integer."""
     if isinstance(rule, int):
@@ -185,7 +174,6 @@ def run_experiment(
     ratios = [r.length / r.n for r in rows if not r.error]
     lengths = [(r.n, r.length) for r in rows if not r.error]
     slope = _fit_slope(lengths)
-    d_used = max((r.d for r in rows), default=cfg.k)
     summary = {
         "schema_version": SCHEMA_VERSION,
         "family": cfg.family,
@@ -196,7 +184,6 @@ def run_experiment(
         "violations": total_violations,
         "errors": sum(1 for r in rows if r.error),
         "max_per_vertex_count": max_count,
-        "per_vertex_bound": per_vertex_bound(max(d_used, 1)),
         "max_length_over_n": max(ratios, default=0.0),
         "mean_length_over_n": sum(ratios) / len(ratios) if ratios else 0.0,
         "length_vs_n_slope": slope,

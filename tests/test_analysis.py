@@ -16,7 +16,6 @@ from recolor import (
     apply_sequence,
     best_choice_sequence,
     naughty_recolorings,
-    per_vertex_bound,
     per_vertex_counts,
 )
 from strategies import engine_cases
@@ -215,16 +214,6 @@ class TestNaughty:
         order = EliminationOrdering(self.G, (0, 1, 2))
         with pytest.raises(ValueError, match=match):
             analyze_sequence(self.G, order, s, naughty_cliques=[(v,)])
-
-
-class TestBounds:
-    def test_frozen_values(self):
-        assert per_vertex_bound(1) == 2**18
-        assert per_vertex_bound(2) == 33554432
-
-    def test_invalid_degeneracy_rejected(self):
-        with pytest.raises(ValueError):
-            per_vertex_bound(0)
 
 
 class TestAnalyzeSequence:

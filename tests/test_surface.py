@@ -34,7 +34,7 @@ PUBLIC_NAMES = [
     "gen_random_coloring", "generators", "graphs", "greedy_color",
     "is_proper", "iter_colorings", "local_best_choice", "mcs_peo",
     "merge_by_coloring", "naughty_recolorings", "oracle",
-    "per_vertex_bound", "per_vertex_counts", "project_coloring",
+    "per_vertex_counts", "project_coloring",
     "resolve_t_rule", "reverse_sequence", "rows_to_csv", "rows_to_json",
     "rt_connected", "rt_diameter", "rt_distance", "rt_path",
     "run_experiment", "run_pipeline", "select_best_choice", "treewidth",

@@ -33,7 +33,6 @@ from recolor import (
     is_proper,
     mcs_peo,
     merge_by_coloring,
-    per_vertex_bound,
     project_coloring,
     rt_distance,
     run_pipeline,
@@ -205,9 +204,15 @@ class TestPipeline:
         assert res.composed.start == alpha
         assert apply_sequence(g, res.composed).colors == beta.colors
         assert len(res.composed) >= rt_distance(g, 5, alpha, beta)
-        # one budget per side plus the two closing moves
-        bound = 2 * per_vertex_bound(td.width) + 2
-        assert all(c <= bound for c in res.per_vertex.values())
+        # gamma1 and gamma2 use colors 1..k+1 and t >= 2k+1, so shifting the
+        # vertices of D onto the k spare colors joins them in at most 2|D|
+        # steps, and the bridge is a shortest walk
+        moved = [v for v in range(g.n) if res.gamma1[v] != res.gamma2[v]]
+        assert len(res.bridge) <= 2 * len(moved)
+        counts = Counter(
+            st.vertex for s in (res.alpha_side, res.bridge, res.beta_side) for st in s.steps
+        )
+        assert res.per_vertex == {v: counts[v] for v in range(g.n)}
 
     def test_bridge_none_returns_halves_only(self):
         g, td = c4(), c4_td()
